@@ -64,6 +64,7 @@ from .marginal import (
     marginal_init,
     marginal_mix,
     marginal_reveal,
+    marginal_step,
     reveal_operators,
     sinkhorn_project,
     vectorized_step,

@@ -25,7 +25,7 @@ import io
 import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -54,6 +54,9 @@ class Symbol:
     name: str
     transition: np.ndarray  # (m, m), column-stochastic
     reveal: frozenset[int]
+    # 0/1 diagonal of the reveal matrix. Indices outside range(m) are left
+    # out here and reported by ``validate``.
+    mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         t = np.asarray(self.transition, dtype=float)
@@ -62,13 +65,23 @@ class Symbol:
         t = t.copy()
         t.setflags(write=False)
         object.__setattr__(self, "transition", t)
-        object.__setattr__(self, "reveal", frozenset(int(q) for q in self.reveal))
+        reveal = frozenset(int(q) for q in self.reveal)
+        object.__setattr__(self, "reveal", reveal)
+        mask = np.zeros(t.shape[0])
+        mask[[q for q in reveal if 0 <= q < t.shape[0]]] = 1.0
+        mask.setflags(write=False)
+        object.__setattr__(self, "mask", mask)
         if not _NAME_RE.match(self.name):
             raise ValueError(f"symbol name {self.name!r} must match {_NAME_RE.pattern}")
 
     @property
     def m(self) -> int:
         return self.transition.shape[0]
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """The unnormalized forward step T @ (z * v): prune to the reveal
+        set, then push through the kernel."""
+        return self.transition @ (self.mask * v)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Symbol):
@@ -116,11 +129,8 @@ class Pfsa:
 
 
 def reveal_mask(a: Pfsa, symbol: int) -> np.ndarray:
-    """Diagonal of the reveal matrix as a 0/1 vector of length m."""
-    z = np.zeros(a.m)
-    for q in a.symbols[symbol].reveal:
-        z[q] = 1.0
-    return z
+    """Diagonal of the reveal matrix as a read-only 0/1 vector of length m."""
+    return a.symbols[symbol].mask
 
 
 def reveal_only(m: int, subset, name: str = "reveal") -> Symbol:
@@ -146,6 +156,8 @@ def transition_only(m: int, transition, name: str = "step") -> Symbol:
 
 
 def _column_violations(t: np.ndarray, atol: float = _SIMPLEX_ATOL) -> list[str]:
+    if not np.all(np.isfinite(t)):
+        return ["transition matrix has non-finite entries"]
     out = []
     if np.any(t < 0):
         out.append("transition matrix has negative entries")
@@ -178,6 +190,8 @@ def validate_belief(b: np.ndarray, m: int, atol: float = _SIMPLEX_ATOL) -> list[
     if b.shape != (m,):
         problems.append(f"belief shape {b.shape}, expected ({m},)")
         return problems
+    if not np.all(np.isfinite(b)):
+        return ["belief has non-finite entries"]
     if np.any(b < 0):
         problems.append("belief has negative entries")
     if abs(b.sum() - 1.0) > atol:
@@ -198,8 +212,7 @@ def belief_update(a: Pfsa, b: np.ndarray, symbol: int) -> np.ndarray:
     InconsistentObservationError when the reveal keeps zero mass, since the
     normalization of the zero vector is undefined.
     """
-    b = np.asarray(b, dtype=float)
-    v = a.symbols[symbol].transition @ (reveal_mask(a, symbol) * b)
+    v = a.symbols[symbol].apply(np.asarray(b, dtype=float))
     mass = v.sum()
     if mass <= 0.0:
         raise InconsistentObservationError(

@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__, checks
 from . import scenarios as sc
 from . import trace as tr
-from .automaton import belief_trajectory, read_automaton, sample_trajectory, validate
+from .automaton import DeadEndError, belief_trajectory, read_automaton, sample_trajectory, validate
 
 _KIND_FLAGS = {"swap": tr.ELEMENTARY_SWAP, "full": tr.FULL_PERMUTATION}
 _SCENARIOS = ("joint-absorbing", "marginal-swap-reveal", "dfa", "full-reveal-every-k")
@@ -189,18 +189,28 @@ _RUNNERS = {
 }
 
 
+class _Manifest(dict):
+    """A JSON object read from a manifest; a missing key is a one-line error."""
+
+    def __missing__(self, key):
+        raise ValueError(f"manifest lacks key {key!r}")
+
+
 def _cmd_replay(args: argparse.Namespace) -> int:
-    manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
+    manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"), object_hook=_Manifest)
     command = manifest["command"]
     if command not in _RUNNERS:
         print(f"manifest command {command!r} is not replayable", file=sys.stderr)
         return 2
+    outputs, config = manifest["outputs"], manifest["config"]
+    if not isinstance(outputs, dict) or not isinstance(config, dict):
+        raise ValueError("manifest outputs and config must be JSON objects")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ok = True
-    for name, recorded in manifest["outputs"].items():
+    for name, recorded in outputs.items():
         out = out_dir / name
-        _RUNNERS[command](manifest["config"], out)
+        _RUNNERS[command](config, out)
         fresh = _sha256(out)
         match = "match" if fresh == recorded else "MISMATCH"
         ok = ok and fresh == recorded
@@ -265,7 +275,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, DeadEndError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .automaton import Pfsa, Symbol, reveal_mask
+from .automaton import Pfsa, Symbol
 from .perm import Permutation, compose, lex_index, symmetric_group
 
 
@@ -67,7 +67,7 @@ def joint_step(state: JointLinearState, a: Pfsa, symbol: int) -> JointLinearStat
     A state that has decayed to the zero vector is representable: the step
     returns it with log_mass = -inf instead of raising.
     """
-    h = a.symbols[symbol].transition @ (reveal_mask(a, symbol) * state.h)
+    h = a.symbols[symbol].apply(state.h)
     before = state.h.sum()
     after = h.sum()
     if before > 0 and after > 0:
@@ -90,7 +90,7 @@ def survival(a: Pfsa, b: np.ndarray, symbol: int) -> float:
 
     Zero signals an observation inconsistent with the belief.
     """
-    return float((reveal_mask(a, symbol) * np.asarray(b, dtype=float)).sum())
+    return float((a.symbols[symbol].mask * np.asarray(b, dtype=float)).sum())
 
 
 def gated_reset(state: JointLinearState, prior: np.ndarray) -> JointLinearState:

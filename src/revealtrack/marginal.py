@@ -24,6 +24,7 @@ product, not for speed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,6 +40,7 @@ class NoSupportError(ValueError):
 class MixSpec:
     """A probabilistic shuffle: permutations of positions with weights."""
 
+    label: ClassVar[str] = "mix"
     components: tuple[tuple[Permutation, float], ...]
 
     def __post_init__(self) -> None:
@@ -67,6 +69,7 @@ class MixSpec:
 class RevealSpec:
     """The observation "position holds element"."""
 
+    label: ClassVar[str] = "reveal"
     position: int
     element: int
 
@@ -113,6 +116,15 @@ def marginal_reveal(state: np.ndarray, r: RevealSpec) -> np.ndarray:
     out[:, r.element] = 0.0
     out[r.position, r.element] = 1.0
     return out
+
+
+def marginal_step(state: np.ndarray, op: MixSpec | RevealSpec) -> np.ndarray:
+    """One marginal-tracker update: a mix or a reveal."""
+    if isinstance(op, MixSpec):
+        return marginal_mix(state, op)
+    if isinstance(op, RevealSpec):
+        return marginal_reveal(state, op)
+    raise TypeError(f"unknown marginal step {op!r}")
 
 
 def bilinear_step(

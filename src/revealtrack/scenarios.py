@@ -34,15 +34,9 @@ from typing import Union
 
 import numpy as np
 
-from .automaton import (
-    InconsistentObservationError,
-    Pfsa,
-    reveal_mask,
-    reveal_only,
-    transition_only,
-)
-from .joint import mixture_symbol, placement_reveal_symbol
-from .marginal import MixSpec, RevealSpec, marginal_init, marginal_mix, marginal_reveal
+from .automaton import InconsistentObservationError, Pfsa, reveal_only, transition_only
+from .joint import mixture_symbol, placement_reveal_symbol, survival
+from .marginal import MixSpec, RevealSpec, marginal_init, marginal_step
 from .perm import identity, transposition
 
 RESET = "reset"
@@ -253,39 +247,35 @@ def run_and_report(
 
 def _run_joint(scenario: JointScenario, grid: FloatGrid | None) -> DecayReport:
     a = scenario.automaton
-    h = scenario.initial.copy()
-    total = h.sum()
+    total = scenario.initial.sum()
     if total <= 0:
         raise ValueError("scenario initial state has no mass")
-    belief = h / total
+    belief = scenario.initial / total
     cum_log2 = math.log2(total)
-    tracked = grid.round_array(h) if grid else h.copy()
+    tracked = grid.round_array(scenario.initial) if grid else scenario.initial
 
     rows = []
     first_underflow = None
     for step, op in enumerate(scenario.steps, start=1):
         if op == RESET:
             # Gated reset: history annihilated, prior injected at full mass.
-            prior = belief.copy()
-            h = prior.copy()
-            tracked = grid.round_array(prior) if grid else prior.copy()
+            tracked = grid.round_array(belief) if grid else belief
             cum_log2 = 0.0
             label = "reset"
             surv = None
         else:
-            sym = int(op)
-            z = reveal_mask(a, sym)
-            t = a.symbols[sym].transition
-            surv = float((z * belief).sum())
+            sym = a.symbols[int(op)]
+            surv = survival(a, belief, int(op))
             if surv <= 0.0:
                 raise InconsistentObservationError(
-                    f"step {step}: symbol {a.symbols[sym].name!r} is inconsistent"
+                    f"step {step}: symbol {sym.name!r} is inconsistent"
                 )
-            belief = (t @ (z * belief)) / surv
-            h = t @ (z * h)
-            tracked = grid.round_array(t @ (z * tracked)) if grid else h.copy()
+            # The shadow belief is normalized by the survival, not by the
+            # sum after the transition: the report's bytes depend on it.
+            belief = sym.apply(belief) / surv
+            tracked = grid.round_array(sym.apply(tracked)) if grid else sym.apply(tracked)
             cum_log2 += math.log2(surv)
-            label = a.symbols[sym].name
+            label = sym.name
         l1 = float(tracked.sum())
         rows.append(
             DecayRow(step, label, l1, surv, _min_nonzero(tracked), cum_log2)
@@ -297,27 +287,19 @@ def _run_joint(scenario: JointScenario, grid: FloatGrid | None) -> DecayReport:
 
 def _run_marginal(scenario: MarginalScenario, grid: FloatGrid | None) -> DecayReport:
     h = marginal_init(scenario.n)
-    tracked = grid.round_array(h) if grid else h.copy()
+    tracked = grid.round_array(h) if grid else h
 
     rows = []
     first_underflow = None
     for step, op in enumerate(scenario.steps, start=1):
-        if isinstance(op, MixSpec):
-            h = marginal_mix(h, op)
-            tracked = grid.round_array(marginal_mix(tracked, op)) if grid else h.copy()
-            label = "mix"
-        elif isinstance(op, RevealSpec):
-            h = marginal_reveal(h, op)
-            tracked = grid.round_array(marginal_reveal(tracked, op)) if grid else h.copy()
-            label = "reveal"
-        else:
-            raise TypeError(f"unknown marginal step {op!r}")
+        h = marginal_step(h, op)
+        tracked = grid.round_array(marginal_step(tracked, op)) if grid else h
         l1 = float(np.abs(tracked).sum())
         exact_floor = _min_nonzero(h)
         rows.append(
             DecayRow(
                 step,
-                label,
+                op.label,
                 l1,
                 None,
                 _min_nonzero(tracked),

@@ -30,6 +30,7 @@ from revealtrack.automaton import (
     validate_belief,
     write_automaton,
 )
+from revealtrack.checks import check_hidden_swap_belief
 from revealtrack.perm import compose, identity, sample_uniform, to_matrix
 from revealtrack.scenarios import hidden_swap_automaton
 
@@ -90,12 +91,9 @@ def test_belief_update_matches_scaled_forward_pass():
 
 
 def test_hidden_swap_belief_collapse():
-    a = hidden_swap_automaton()
-    b = one_hot(2, 0)
-    b = belief_update(a, b, a.symbol_index("swap"))
-    assert np.array_equal(b, [0.5, 0.5])
-    b = belief_update(a, b, a.symbol_index("check"))
-    assert np.array_equal(b, [1.0, 0.0])
+    measured = check_hidden_swap_belief().measured
+    assert np.array_equal(measured["b1"], [0.5, 0.5])
+    assert np.array_equal(measured["b2"], [1.0, 0.0])
 
 
 def test_vacuous_reveal_is_identity():
@@ -200,6 +198,10 @@ def test_validate_reports_violations():
     empty = Pfsa((Symbol("mute", np.eye(2), frozenset()),), q0=0)
     assert any("empty" in msg for msg in validate(empty))
 
+    for reveal in ({0, 2}, {-1}):
+        far = Pfsa((Symbol("far", np.eye(2), frozenset(reveal)),), q0=0)
+        assert any("out of range" in msg for msg in validate(far))
+
     assert validate(hidden_swap_automaton()) == []
     assert any("q0" in msg for msg in validate(Pfsa((Symbol("id", np.eye(2), frozenset({0})),), q0=5)))
 
@@ -209,6 +211,15 @@ def test_validate_belief():
     assert validate_belief(np.array([0.6, 0.5]), 2) != []
     assert validate_belief(np.array([-0.1, 1.1]), 2) != []
     assert validate_belief(np.array([1.0]), 2) != []
+
+
+def test_validate_rejects_non_finite_kernel():
+    nan_kernel = Pfsa((Symbol("nan", [[np.nan, 0.0], [np.nan, 1.0]], frozenset({0, 1})),), q0=0)
+    assert any("non-finite" in msg for msg in validate(nan_kernel))
+
+
+def test_validate_belief_rejects_non_finite():
+    assert validate_belief(np.array([np.nan, 1.0]), 2) != []
 
 
 def test_special_symbol_builders():

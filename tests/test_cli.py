@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +95,21 @@ def test_decay_with_resets(tmp_path, capsys):
     assert min(float(row[2]) for row in rows) == 2.0**-8
 
 
+def test_decay_reports_match_golden_digests(tmp_path):
+    # The short decay runs of perfbench/golden.json; their bytes do not
+    # depend on numpy's random streams.
+    golden = json.loads((Path(__file__).parents[1] / "perfbench" / "golden.json").read_text())
+    keys = [
+        key for key in golden["digests"]
+        if key.startswith("decay ") and ("--cycles 12 " in key or "--steps 24 " in key)
+    ]
+    assert len(keys) == 8
+    for key in keys:
+        out = tmp_path / "decay.csv"
+        assert main(key.split() + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == golden["digests"][key], key
+
+
 def test_decay_rejects_unknown_scenario(tmp_path):
     with pytest.raises(SystemExit):
         main(["decay", "--scenario", "nonsense", "--out", str(tmp_path / "x.csv")])
@@ -129,8 +146,25 @@ def test_simulate_missing_file(tmp_path):
 
 def test_simulate_invalid_automaton(tmp_path):
     bad = tmp_path / "bad.pfsa"
-    bad.write_text("pfsa v1\nstates 2\nq0 0\nsymbol s\nreveal 0\nT\n0.9 0.0\n0.0 1.0\n")
-    assert main(["simulate", "--automaton", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
+    documents = (
+        ("0", "0.9 0.0\n0.0 1.0"),  # column 0 sums to 0.9
+        ("0 2", "1.0 0.0\n0.0 1.0"),  # reveals state 2 of 2
+        ("0", "nan 0.0\nnan 1.0"),  # non-finite kernel
+    )
+    for reveal, kernel in documents:
+        bad.write_text(f"pfsa v1\nstates 2\nq0 0\nsymbol s\nreveal {reveal}\nT\n{kernel}\n")
+        assert main(["simulate", "--automaton", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_simulate_dead_end_is_one_line_error(tmp_path, capsys):
+    # state 0 moves to state 1, which no symbol reveals
+    doomed = tmp_path / "doomed.pfsa"
+    doomed.write_text("pfsa v1\nstates 2\nq0 0\nsymbol s\nreveal 0\nT\n0.0 0.0\n1.0 1.0\n")
+    assert main([
+        "simulate", "--automaton", str(doomed), "--steps", "3", "--out", str(tmp_path / "x.csv"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_small_run(capsys):
@@ -163,3 +197,27 @@ def test_replay_matches_and_detects_tampering(tmp_path):
     assert main([
         "replay", "--manifest", str(manifest_path), "--out-dir", str(tmp_path / "replayed2"),
     ]) == 1
+
+
+@pytest.mark.parametrize("drop", ("outputs", "emulate"))
+def test_replay_incomplete_manifest_is_one_line_error(tmp_path, capsys, drop):
+    out = tmp_path / "joint.csv"
+    assert main(["decay", "--scenario", "joint-absorbing", "--cycles", "2", "--out", str(out)]) == 0
+    manifest_path = tmp_path / "joint.csv.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest.pop(drop, None)
+    manifest["config"].pop(drop, None)
+    manifest_path.write_text(json.dumps(manifest))
+    assert main([
+        "replay", "--manifest", str(manifest_path), "--out-dir", str(tmp_path / "again"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: manifest lacks key {drop!r}\n"
+
+
+def test_replay_manifest_fields_must_be_objects(tmp_path, capsys):
+    manifest_path = tmp_path / "odd.manifest.json"
+    manifest_path.write_text(json.dumps({"command": "decay", "config": [], "outputs": {}}))
+    assert main(["replay", "--manifest", str(manifest_path), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: manifest outputs and config must be JSON objects\n"

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from revealtrack.checks import check_householder_composition
 from revealtrack.householder import (
     EigenRange,
     HouseholderStep,
@@ -101,16 +102,7 @@ def test_recurrence_composes_exhaustive_small_sequences():
 
 
 def test_recurrence_composes_long_random_sequences():
-    rng = np.random.default_rng(11)
-    n = 8
-    cumulative = identity(n)
-    steps = []
-    for _ in range(256):
-        i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
-        cumulative = compose(cumulative, transposition(n, i, j))
-        steps.append(swap_head(n, i, j))
-    got = run_recurrence(steps, np.eye(n))
-    assert np.abs(got - to_matrix(cumulative)).max() <= 1e-12
+    assert check_householder_composition(length=256, n=8, seed=11).measured["gap"] <= 1e-12
 
 
 def test_eigenrange_reports():

@@ -3,7 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from revealtrack.joint import mixture_symbol
+from revealtrack.checks import (
+    check_kronecker,
+    check_marginal_bridge,
+    check_sinkhorn,
+    check_swap_reveal_decay,
+)
 from revealtrack.marginal import (
     MixSpec,
     NoSupportError,
@@ -91,27 +96,11 @@ def test_reveal_fixes_consistent_permutation_matrix():
 
 
 def test_repeated_cycle_halves_unrevealed_entry():
-    h = marginal_init(3)
-    seen = []
-    for _ in range(3):
-        h = marginal_mix(h, HALF_SWAP_12)
-        h = marginal_reveal(h, RevealSpec(1, 1))
-        seen.append(h[2, 2])
-    assert seen == [0.5, 0.25, 0.125]
+    assert check_swap_reveal_decay().measured["floors"] == [0.5, 0.25, 0.125]
 
 
 def test_vectorized_matches_bilinear():
-    rng = np.random.default_rng(9)
-    worst = 0.0
-    for _ in range(1000):
-        n = int(rng.integers(2, 6))
-        h = rng.standard_normal((n, n))
-        a_l = rng.standard_normal((n, n))
-        a_r = rng.standard_normal((n, n))
-        b = rng.standard_normal((n, n))
-        gap = np.abs(bilinear_step(h, a_l, a_r, b) - vectorized_step(h, a_l, a_r, b)).max()
-        worst = max(worst, gap)
-    assert worst <= 1e-12
+    assert check_kronecker(runs=1000, seed=9).measured["gap"] <= 1e-12
 
 
 def test_vectorized_identity_and_reveal():
@@ -153,13 +142,9 @@ def test_sinkhorn_diagonal_support_forces_identity():
 
 
 def test_sinkhorn_random_positive_matrices():
-    rng = np.random.default_rng(13)
-    for _ in range(1000):
-        result = sinkhorn_project(rng.random((5, 5)) + 1e-3)
-        assert result.converged
-        m = result.matrix
-        assert np.abs(m.sum(axis=0) - 1.0).max() <= 1e-9
-        assert np.abs(m.sum(axis=1) - 1.0).max() <= 1e-9
+    measured = check_sinkhorn(runs=1000, seed=13).measured
+    assert measured["unconverged"] == 0
+    assert measured["sum_error"] <= 1e-9  # worst row or column sum of every matrix
 
 
 def test_sinkhorn_no_support():
@@ -203,18 +188,5 @@ def test_joint_to_marginal_is_doubly_stochastic_on_distributions():
 
 
 def test_mixing_bridge_joint_vs_marginal():
-    rng = np.random.default_rng(2025)
-    for _ in range(40):
-        n = int(rng.integers(2, 5))
-        group = symmetric_group(n)
-        b = np.zeros(len(group))
-        b[0] = 1.0
-        h = marginal_init(n)
-        for _ in range(20):
-            k = int(rng.integers(1, min(4, len(group)) + 1))
-            picks = rng.choice(len(group), size=k, replace=False)
-            weights = rng.dirichlet(np.ones(k))
-            components = tuple((group[i], float(w)) for i, w in zip(picks, weights))
-            b = mixture_symbol(n, components, action="position").transition @ b
-            h = marginal_mix(h, MixSpec(components))
-            assert np.abs(h - joint_to_marginal(b, n)).max() <= 1e-9
+    measured = check_marginal_bridge(runs=40, max_n=4, steps=20, seed=2025).measured
+    assert measured["mixing_error"] <= 1e-9  # every step of every run
