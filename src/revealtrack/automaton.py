@@ -17,6 +17,12 @@ where ``z`` is the 0/1 diagonal mask of the reveal set. A symbol with
 ``rho`` equal to the whole state set is transition-only (the reveal is
 vacuous); a symbol whose ``T`` is the identity is reveal-only (the state
 does not move).
+
+A kernel is stored in one of two forms. General kernels are dense m-by-m
+arrays. A convex mixture of k permutation matrices, such as a shuffle of
+arrangements, is a ``PermutationMixture``: k index gathers and k weights,
+O(k m) in memory and per step instead of O(m^2). The text format always
+holds the dense matrix.
 """
 
 from __future__ import annotations
@@ -47,24 +53,110 @@ class AutomatonFormatError(ValueError):
     """The textual automaton document is malformed."""
 
 
+class PermutationMixture:
+    """The kernel T = sum_g weights[g] * P_g with k permutation matrices P_g,
+    stored as gathers: row g of the read-only (k, m) array ``sources`` holds,
+    for each state i, the state P_g moves to i, so
+    ``(P_g @ v)[i] = v[sources[g, i]]``.
+
+    ``T @ v`` sums the k gathers in component order. ``np.asarray`` builds
+    the dense matrix, and iterating yields its rows one at a time.
+    """
+
+    # Keeps numpy operators from densifying the kernel behind its back:
+    # ``array == kernel`` defers to ``__eq__`` and ``array @ kernel`` raises.
+    __array_ufunc__ = None
+
+    def __init__(self, sources, weights) -> None:
+        sources = np.asarray(sources)
+        weights = np.array(weights, dtype=float)
+        if sources.ndim != 2 or not np.issubdtype(sources.dtype, np.integer):
+            raise ValueError(f"sources must be a (k, m) integer array, got {sources.shape}")
+        if weights.shape != sources.shape[:1] or not len(weights):
+            raise ValueError(f"{sources.shape[0]} index rows but weights of shape {weights.shape}")
+        self.sources = sources.astype(np.intp)
+        self.weights = weights
+        self.sources.setflags(write=False)
+        self.weights.setflags(write=False)
+        # (weight, index row) pairs as Python floats and row views: the
+        # per-step loop then does no numpy indexing of its own.
+        self._terms = tuple(zip(self.weights.tolist(), self.sources))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        m = self.sources.shape[1]
+        return (m, m)
+
+    @property
+    def nbytes(self) -> int:
+        return self.sources.nbytes + self.weights.nbytes
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        (w, src), *rest = self._terms
+        out = w * v[src]
+        for w, src in rest:
+            out += w * v[src]
+        return out
+
+    def column(self, j: int) -> np.ndarray:
+        """Column j of the dense matrix: the distribution of the next state
+        from state j, each entry summed in component order."""
+        col = np.zeros(self.shape[0])
+        for w, src in self._terms:
+            col[src == j] += w
+        return col
+
+    def __iter__(self):
+        for i in range(self.shape[0]):
+            row = np.zeros(self.shape[1])
+            np.add.at(row, self.sources[:, i], self.weights)
+            yield row
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        m = self.shape[0]
+        t = np.zeros((m, m))
+        for w, src in self._terms:
+            t[np.arange(m), src] += w
+        return t if dtype is None else t.astype(dtype)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, PermutationMixture)
+            and np.array_equal(self.sources, other.sources)
+            and np.array_equal(self.weights, other.weights)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.sources.tobytes(), self.weights.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"PermutationMixture(k={len(self.weights)}, m={self.shape[0]})"
+
+
 @dataclass(frozen=True)
 class Symbol:
-    """One input symbol: a transition kernel plus a reveal set."""
+    """One input symbol: a transition kernel plus a reveal set.
+
+    The kernel is a ``PermutationMixture`` when one is given and a dense
+    read-only array otherwise.
+    """
 
     name: str
-    transition: np.ndarray  # (m, m), column-stochastic
+    transition: np.ndarray | PermutationMixture  # (m, m), column-stochastic
     reveal: frozenset[int]
     # 0/1 diagonal of the reveal matrix. Indices outside range(m) are left
     # out here and reported by ``validate``.
     mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.transition, dtype=float)
-        if t.ndim != 2 or t.shape[0] != t.shape[1]:
-            raise ValueError(f"transition matrix must be square, got {t.shape}")
-        t = t.copy()
-        t.setflags(write=False)
-        object.__setattr__(self, "transition", t)
+        t = self.transition
+        if not isinstance(t, PermutationMixture):
+            t = np.asarray(t, dtype=float)
+            if t.ndim != 2 or t.shape[0] != t.shape[1]:
+                raise ValueError(f"transition matrix must be square, got {t.shape}")
+            t = t.copy()
+            t.setflags(write=False)
+            object.__setattr__(self, "transition", t)
         reveal = frozenset(int(q) for q in self.reveal)
         object.__setattr__(self, "reveal", reveal)
         mask = np.zeros(t.shape[0])
@@ -83,17 +175,27 @@ class Symbol:
         set, then push through the kernel."""
         return self.transition @ (self.mask * v)
 
+    def column(self, state: int) -> np.ndarray:
+        """Column ``state`` of the kernel: the next-state distribution."""
+        t = self.transition
+        return t.column(state) if isinstance(t, PermutationMixture) else t[:, state]
+
     def __eq__(self, other) -> bool:
+        """Equal names, reveal sets and kernels; a kernel never equals one
+        stored in the other form."""
         if not isinstance(other, Symbol):
             return NotImplemented
-        return (
-            self.name == other.name
-            and self.reveal == other.reveal
-            and np.array_equal(self.transition, other.transition)
-        )
+        t, u = self.transition, other.transition
+        if isinstance(t, PermutationMixture):
+            same_kernel = t == u
+        else:
+            same_kernel = isinstance(u, np.ndarray) and np.array_equal(t, u)
+        return self.name == other.name and self.reveal == other.reveal and same_kernel
 
     def __hash__(self) -> int:
-        return hash((self.name, self.reveal, self.transition.tobytes()))
+        t = self.transition
+        key = t if isinstance(t, PermutationMixture) else t.tobytes()
+        return hash((self.name, self.reveal, key))
 
 
 @dataclass(frozen=True)
@@ -155,6 +257,22 @@ def transition_only(m: int, transition, name: str = "step") -> Symbol:
     return sym
 
 
+def _mixture_violations(t: PermutationMixture, atol: float) -> list[str]:
+    out = []
+    w = t.weights
+    if not np.all(np.isfinite(w)):
+        out.append("mixture weights are non-finite")
+    elif np.any(w < 0):
+        out.append("mixture has negative weights")
+    elif abs(w.sum() - 1.0) > atol:
+        out.append(f"mixture weights sum to {w.sum()!r}, expected 1")
+    m = t.shape[0]
+    for g, src in enumerate(t.sources):
+        if not np.array_equal(np.sort(src), np.arange(m)):
+            out.append(f"index row {g} is not a permutation of range({m})")
+    return out
+
+
 def _column_violations(t: np.ndarray, atol: float = _SIMPLEX_ATOL) -> list[str]:
     if not np.all(np.isfinite(t)):
         return ["transition matrix has non-finite entries"]
@@ -174,7 +292,9 @@ def validate(a: Pfsa, atol: float = _SIMPLEX_ATOL) -> list[str]:
     if not 0 <= a.q0 < a.m:
         problems.append(f"q0={a.q0} out of range for m={a.m}")
     for idx, sym in enumerate(a.symbols):
-        for msg in _column_violations(sym.transition, atol):
+        t = sym.transition
+        check = _mixture_violations if isinstance(t, PermutationMixture) else _column_violations
+        for msg in check(t, atol):
             problems.append(f"symbol {sym.name!r}: {msg}")
         if not sym.reveal:
             problems.append(f"symbol {sym.name!r}: reveal set is empty")
@@ -249,9 +369,14 @@ def consistent_symbols(a: Pfsa, state: int) -> np.ndarray:
 
 
 def sample_transition(a: Pfsa, symbol: int, state: int, rng: np.random.Generator) -> int:
-    """Draw the next state from column ``state`` of the symbol's kernel."""
-    col = a.symbols[symbol].transition[:, state]
-    return int(np.searchsorted(np.cumsum(col), rng.random(), side="right").clip(0, a.m - 1))
+    """Draw the next state from column ``state`` of the symbol's kernel.
+
+    A column may sum to slightly less than 1, so a draw can land past its
+    total; it then goes to the last state of nonzero probability.
+    """
+    col = a.symbols[symbol].column(state)
+    nxt = int(np.searchsorted(np.cumsum(col), rng.random(), side="right"))
+    return nxt if nxt < a.m else int(np.flatnonzero(col)[-1])
 
 
 @dataclass(frozen=True)
@@ -428,6 +553,8 @@ def loads_automaton(text: str) -> Pfsa:
                 raise AutomatonFormatError(f"bad matrix row {raw!r}") from exc
             if len(row) != m:
                 raise AutomatonFormatError(f"row of length {len(row)}, expected {m}")
+            if not all(math.isfinite(v) for v in row):
+                raise AutomatonFormatError(f"non-finite entry in matrix row {raw!r}")
             rows.append(row)
         symbols.append(Symbol(name, np.array(rows), subset))
     if not symbols:

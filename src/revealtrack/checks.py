@@ -187,7 +187,7 @@ def check_marginal_bridge(runs: int = 50, max_n: int = 4, steps: int = 20, seed:
         h = mg.marginal_init(n)
         for _ in range(steps):
             components = _random_mixture(rng, group, min(4, len(group)))
-            b = jt.mixture_symbol(n, components, action="position").transition @ b
+            b = jt.mixture_symbol(n, components, action="position").apply(b)
             h = mg.marginal_mix(h, mg.MixSpec(components))
             mixing_error = np.maximum(mixing_error, np.abs(h - mg.joint_to_marginal(b, n)).max())
 
@@ -197,7 +197,7 @@ def check_marginal_bridge(runs: int = 50, max_n: int = 4, steps: int = 20, seed:
         b = one_hot(6, 0)
         for _ in range(int(rng.integers(1, 7))):
             components = _random_mixture(rng, group, 3)
-            b = jt.mixture_symbol(3, components, action="position").transition @ b
+            b = jt.mixture_symbol(3, components, action="position").apply(b)
         prefixes.append(b)
     targets = [
         (mg.RevealSpec(position, element), jt.placement_reveal_symbol(3, position, element).mask)

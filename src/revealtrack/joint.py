@@ -20,18 +20,23 @@ elements act two ways:
   (c -> compose(c, g)); this matches row-mixing of marginal matrices.
 - element action: element e trades places with element g(e)
   (c -> compose(g, c)); a "swap items 1 and 2 wherever they are" command.
+
+Arrangement symbols store their kernels as ``PermutationMixture`` gathers
+built from ``perm.one_line_table(n)``: a mixture of k group elements costs
+k gathers of length n! per step, and a reveal is the identity gather.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .automaton import Pfsa, Symbol
-from .perm import Permutation, compose, lex_index, symmetric_group
+from .automaton import PermutationMixture, Pfsa, Symbol
+from .perm import Permutation, lex_index, lex_indices, one_line_table, symmetric_group
 
 
 class MassUnderflowError(ArithmeticError):
@@ -107,12 +112,14 @@ def arrangement_states(n: int) -> tuple[Permutation, ...]:
     return symmetric_group(n)
 
 
-def position_action(g: Permutation, c: Permutation) -> Permutation:
-    return compose(c, g)
-
-
-def element_action(g: Permutation, c: Permutation) -> Permutation:
-    return compose(g, c)
+# For every arrangement c of the one-line table, the arrangement that the
+# action of g moves onto c: e -> g^-1(c(e)) for the position action
+# (c -> compose(c, g)) and e -> c(g^-1(e)) for the element action
+# (c -> compose(g, c)).
+_PULLBACKS = {
+    "position": lambda table, g_inv: g_inv[table],
+    "element": lambda table, g_inv: table[:, g_inv],
+}
 
 
 def mixture_symbol(
@@ -126,25 +133,29 @@ def mixture_symbol(
     ``action`` is "position" or "element" (see module docstring). Weights
     must be nonnegative and sum to 1.
     """
-    act = {"position": position_action, "element": element_action}[action]
+    pullback = _PULLBACKS[action]
     weights = np.array([w for _, w in components], dtype=float)
-    if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
+    if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-12):
         raise ValueError(f"weights {weights} are not a distribution")
-    states = arrangement_states(n)
-    t = np.zeros((len(states), len(states)))
-    for g, w in components:
-        for c in states:
-            t[lex_index(act(g, c)), lex_index(c)] += w
-    return Symbol(name, t, frozenset(range(len(states))))
+    if any(g.n != n for g, _ in components):
+        raise ValueError(f"mixture components do not all act on {n} items")
+    table = one_line_table(n)
+    sources = [lex_indices(pullback(table, np.argsort(g.mapping))) for g, _ in components]
+    return Symbol(name, PermutationMixture(sources, weights), frozenset(range(len(table))))
+
+
+@lru_cache(maxsize=None)
+def _identity_kernel(m: int) -> PermutationMixture:
+    return PermutationMixture(np.arange(m)[None, :], [1.0])
 
 
 def placement_reveal_symbol(n: int, position: int, element: int, name: str = "observe") -> Symbol:
     """Reveal-only symbol for the observation "position holds element"."""
-    states = arrangement_states(n)
     if not (0 <= position < n and 0 <= element < n):
         raise ValueError(f"placement ({position}, {element}) out of range for n={n}")
-    keep = frozenset(lex_index(c) for c in states if c(element) == position)
-    return Symbol(name, np.eye(len(states)), keep)
+    table = one_line_table(n)
+    keep = frozenset(np.flatnonzero(table[:, element] == position).tolist())
+    return Symbol(name, _identity_kernel(len(table)), keep)
 
 
 def arrangement_automaton(n: int, symbols: Sequence[Symbol], q0: Permutation | None = None) -> Pfsa:

@@ -137,3 +137,26 @@ def _lex_index_table(n: int) -> dict[tuple[int, ...], int]:
 def lex_index(p: Permutation) -> int:
     """Index of p in the lexicographic enumeration of S_n."""
     return _lex_index_table(p.n)[p.mapping]
+
+
+@lru_cache(maxsize=None)
+def one_line_table(n: int) -> np.ndarray:
+    """All n! elements of S_n as a read-only (n!, n) array whose row i is
+    the one-line notation of ``symmetric_group(n)[i]``."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    table = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    table.setflags(write=False)
+    return table
+
+
+def lex_indices(rows: np.ndarray) -> np.ndarray:
+    """Lexicographic index of every one-line permutation in the rows of an
+    (r, n) integer array; the vectorized ``lex_index``.
+
+    Read as base-n numbers, one-line permutations sort in lex order, so the
+    index is a binary search among the codes of ``one_line_table(n)``.
+    """
+    rows = np.asarray(rows)
+    place = rows.shape[1] ** np.arange(rows.shape[1] - 1, -1, -1)
+    return np.searchsorted(one_line_table(rows.shape[1]) @ place, rows @ place)

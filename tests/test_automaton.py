@@ -11,6 +11,7 @@ from revealtrack.automaton import (
     AutomatonFormatError,
     DeadEndError,
     InconsistentObservationError,
+    PermutationMixture,
     Pfsa,
     Symbol,
     belief_trajectory,
@@ -25,6 +26,7 @@ from revealtrack.automaton import (
     reveal_mask,
     reveal_only,
     sample_trajectory,
+    sample_transition,
     transition_only,
     validate,
     validate_belief,
@@ -218,6 +220,30 @@ def test_validate_rejects_non_finite_kernel():
     assert any("non-finite" in msg for msg in validate(nan_kernel))
 
 
+def test_validate_checks_permutation_mixtures():
+    def automaton(sources, weights) -> Pfsa:
+        return Pfsa((Symbol("mix", PermutationMixture(sources, weights), frozenset({0})),), q0=0)
+
+    swap = [[1, 0, 2], [0, 1, 2]]
+    assert validate(automaton(swap, [0.25, 0.75])) == []
+    assert any("non-finite" in msg for msg in validate(automaton(swap, [np.nan, 1.0])))
+    assert any("not a permutation" in msg for msg in validate(automaton([[1, 1, 2]], [1.0])))
+
+
+def test_sample_transition_skips_zero_probability_tail():
+    # Column 0 sums to 1 - 5e-13, which validate accepts; a draw just below
+    # 1 lands past its total and must go to state 1, not to state 2.
+    kernel = np.array([[0.6, 0.0, 0.0], [0.4 - 5e-13, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    a = Pfsa((Symbol("leaky", kernel, frozenset({0, 1, 2})),), q0=0)
+    assert validate(a) == []
+
+    class TopDraw:
+        def random(self) -> float:
+            return 1.0 - 2.0 ** -53
+
+    assert sample_transition(a, 0, 0, TopDraw()) == 1
+
+
 def test_validate_belief_rejects_non_finite():
     assert validate_belief(np.array([np.nan, 1.0]), 2) != []
 
@@ -272,6 +298,12 @@ def test_document_errors():
         loads_automaton(truncated)
     with pytest.raises(AutomatonFormatError):
         loads_automaton(good.replace("0.5 0.5", "0.5 frog", 1))
+
+
+def test_loads_rejects_non_finite_kernel():
+    for kernel in ("nan 0.0\nnan 1.0", "inf 0.0\n0.0 1.0"):
+        with pytest.raises(AutomatonFormatError):
+            loads_automaton(f"pfsa v1\nstates 2\nq0 0\nsymbol s\nreveal 0\nT\n{kernel}\n")
 
 
 def test_read_write_file_object():

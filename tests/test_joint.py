@@ -5,7 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from revealtrack.automaton import Pfsa, one_hot, reveal_only, transition_only
+from revealtrack.automaton import (
+    Pfsa,
+    Symbol,
+    belief_update,
+    dumps_automaton,
+    one_hot,
+    reveal_only,
+    sample_trajectory,
+    transition_only,
+)
 from revealtrack.checks import check_oracle_equivalence
 from revealtrack.joint import (
     JointLinearState,
@@ -19,7 +28,7 @@ from revealtrack.joint import (
     placement_reveal_symbol,
     survival,
 )
-from revealtrack.perm import Permutation, lex_index, symmetric_group, transposition
+from revealtrack.perm import Permutation, compose, lex_index, symmetric_group, transposition
 from revealtrack.scenarios import absorbing_automaton, noisy_swap_s3
 
 # The worked three-item example numbers its arrangements 1..6 as the lists
@@ -68,7 +77,7 @@ def test_noisy_swap_worked_example():
 
 def test_fuzzy_swap_matrix_matches_hand_computation():
     a = noisy_swap_s3()
-    t = a.symbols[a.symbol_index("fuzzy_swap")].transition
+    t = np.asarray(a.symbols[a.symbol_index("fuzzy_swap")].transition)
     hand = np.array(
         [
             [0.0, 0.5, 0.5, 0.0, 0.0, 0.0],
@@ -135,7 +144,7 @@ def test_mixture_symbol_validation():
 def test_position_action_mixture_is_column_stochastic_permutation_blend():
     group = symmetric_group(3)
     sym = mixture_symbol(3, [(group[1], 0.25), (group[4], 0.75)], action="position")
-    t = sym.transition
+    t = np.asarray(sym.transition)
     assert np.allclose(t.sum(axis=0), 1.0)
     assert set(np.unique(t)) <= {0.0, 0.25, 0.75}
 
@@ -144,7 +153,7 @@ def test_placement_reveal_symbol():
     sym = placement_reveal_symbol(3, position=0, element=2)
     keep = {i for i, c in enumerate(symmetric_group(3)) if c(2) == 0}
     assert sym.reveal == keep
-    assert np.array_equal(sym.transition, np.eye(6))
+    assert np.array_equal(np.asarray(sym.transition), np.eye(6))
     with pytest.raises(ValueError):
         placement_reveal_symbol(3, position=3, element=0)
 
@@ -165,3 +174,92 @@ def test_dfa_embedding_constant_mass():
         state = joint_step(state, a, 0)
         assert state.mass == 1.0
         assert sorted(state.h) == [0.0, 0.0, 1.0]
+
+
+def dense_equivalent(a: Pfsa) -> Pfsa:
+    """The same automaton with every kernel stored as a dense matrix."""
+    return Pfsa(tuple(Symbol(s.name, np.asarray(s.transition), s.reveal) for s in a.symbols), a.q0)
+
+
+def random_mixture(n: int, k: int, rng: np.random.Generator):
+    group = symmetric_group(n)
+    picks = rng.choice(len(group), size=min(k, len(group)), replace=False)
+    weights = rng.dirichlet(np.ones(len(picks)))
+    return [(group[int(i)], float(w)) for i, w in zip(picks, weights)]
+
+
+def test_mixture_kernel_matches_per_state_construction():
+    # Reference: T[index(act(g, c)), index(c)] += w, state by state.
+    actions = {"position": lambda g, c: compose(c, g), "element": lambda g, c: compose(g, c)}
+    rng = np.random.default_rng(41)
+    for n in range(1, 6):
+        states = symmetric_group(n)
+        for action, act in actions.items():
+            for k in (1, 2, 4):
+                components = random_mixture(n, k, rng)
+                reference = np.zeros((len(states), len(states)))
+                for g, w in components:
+                    for c in states:
+                        reference[lex_index(act(g, c)), lex_index(c)] += w
+                kernel = mixture_symbol(n, components, action=action).transition
+                assert np.array_equal(np.asarray(kernel), reference), (n, action, k)
+
+
+def test_gather_apply_matches_dense():
+    rng = np.random.default_rng(42)
+    for n in range(2, 6):
+        symbols = [
+            mixture_symbol(n, random_mixture(n, k, rng), action=action)
+            for action in ("position", "element")
+            for k in (1, 2, 4)
+        ]
+        symbols += [placement_reveal_symbol(n, int(rng.integers(n)), int(rng.integers(n)))]
+        for sym in symbols:
+            dense = np.asarray(sym.transition)
+            for _ in range(5):
+                v = rng.dirichlet(np.ones(sym.m))
+                assert np.abs(sym.apply(v) - dense @ (sym.mask * v)).max() <= 1e-15
+
+
+def test_gather_and_dense_trajectories_agree():
+    rng = np.random.default_rng(43)
+    for n in (3, 4, 5):
+        symbols = [
+            mixture_symbol(n, random_mixture(n, 2, rng), name="mix2"),
+            mixture_symbol(n, random_mixture(n, 4, rng), action="element", name="mix4"),
+            placement_reveal_symbol(n, 0, int(rng.integers(n))),
+        ]
+        gather = arrangement_automaton(n, symbols)
+        dense = dense_equivalent(gather)
+        for seed in range(5):
+            got = sample_trajectory(gather, 60, np.random.default_rng(seed))
+            assert got == sample_trajectory(dense, 60, np.random.default_rng(seed))
+
+
+def test_gather_document_matches_dense():
+    a = noisy_swap_s3()
+    assert dumps_automaton(a) == dumps_automaton(dense_equivalent(a))
+    assert a == noisy_swap_s3() and hash(a.symbols[0]) == hash(noisy_swap_s3().symbols[0])
+    assert a.symbols[0] != dense_equivalent(a).symbols[0]
+
+
+def test_joint_run_at_n8():
+    n, rng = 8, np.random.default_rng(44)
+    a = arrangement_automaton(
+        n,
+        [
+            mixture_symbol(n, random_mixture(n, 2, rng), name="mix2"),
+            mixture_symbol(n, random_mixture(n, 4, rng), name="mix4"),
+            placement_reveal_symbol(n, 3, 5),
+        ],
+    )
+    assert a.m == 40320
+    assert sum(s.transition.nbytes for s in a.symbols) < 10_000_000
+    stream = sample_trajectory(a, 200, rng).symbols
+    assert stream.count(2) >= 10  # the reveal prunes the belief repeatedly
+    b = one_hot(a.m, a.q0)
+    state = joint_init(b)
+    for symbol in stream:
+        b = belief_update(a, b, symbol)
+        state = joint_step(state, a, symbol)
+        assert np.abs(joint_decode(state) - b).max() <= 1e-12

@@ -180,6 +180,20 @@ def test_joint_to_marginal_point_masses():
         joint_to_marginal(np.ones(5) / 5.0, 3)
 
 
+def test_joint_to_marginal_matches_loop_bitwise():
+    # Reference: the per-pair loop, adding each arrangement in lex order.
+    rng = np.random.default_rng(17)
+    for n in range(2, 6):
+        group = symmetric_group(n)
+        for _ in range(20):
+            b = rng.dirichlet(np.ones(len(group)))
+            expected = np.zeros((n, n))
+            for index, c in enumerate(group):
+                for element in range(n):
+                    expected[c(element), element] += b[index]
+            assert np.array_equal(joint_to_marginal(b, n), expected)
+
+
 def test_joint_to_marginal_is_doubly_stochastic_on_distributions():
     rng = np.random.default_rng(21)
     for _ in range(20):
