@@ -12,6 +12,7 @@ the builtin ``max`` would drop.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 
@@ -333,31 +334,45 @@ def check_state_counts() -> CheckResult:
     return _result("discretized-state-counts", ok, "2**3! = 64, 10**81, 5**1 = 5", counts)
 
 
-def check_trace_roundtrip(count: int = 300, seed: int = 23) -> CheckResult:
+def check_trace_roundtrip(count: int = 300, seed: int = 23, max_commands: int = 40) -> CheckResult:
+    """Random traces of 1..``max_commands`` commands reparse to the same
+    events with no reveal disagreement; the first 500 regenerate to the same
+    export bytes; the curriculum runs through its four (length, spacing)
+    stages."""
     rng = np.random.default_rng(seed)
-    reparsed_ok = True
-    disagreements = 0
-    for _ in range(count):
-        config = tr.TraceConfig(
+    configs = [
+        tr.TraceConfig(
             n_vars=int(rng.integers(2, 7)),
-            n_commands=int(rng.integers(1, 41)),
+            n_commands=int(rng.integers(1, max_commands + 1)),
             reveal_spacing=int(rng.integers(1, 9)),
             command_kind=tr.ELEMENTARY_SWAP if rng.random() < 0.5 else tr.FULL_PERMUTATION,
             seed=int(rng.integers(0, 2**63)),
         )
+        for _ in range(count)
+    ]
+    reparsed = True
+    disagreements = 0
+    for config in configs:
         trace = tr.generate(config)
         parsed = tr.parse(tr.render(trace))
-        if parsed.events != trace.events:
-            reparsed_ok = False
+        reparsed = reparsed and parsed.events == trace.events
         disagreements += len(tr.execute(parsed.events).disagreements)
-        if tr.generate(config).text != trace.text:
-            reparsed_ok = False
-    ok = reparsed_ok and disagreements == 0
+
+    exports = []
+    for _ in range(2):
+        sink = io.StringIO()
+        tr.export_dataset((tr.generate(c) for c in configs[:500]), sink)
+        exports.append(sink.getvalue())
+    regenerated = exports[0] == exports[1]
+    stages = [(batch[0].n_commands, batch[0].reveal_spacing) for batch in tr.curriculum(stage_samples=1)]
+
+    ok = reparsed and disagreements == 0 and regenerated and stages == [(8, 1), (16, 2), (32, 4), (64, 8)]
     return _result(
         "trace-roundtrip",
         ok,
-        f"{count} traces reparsed={reparsed_ok}, reveal disagreements={disagreements}",
-        {"reparsed": reparsed_ok, "disagreements": disagreements},
+        f"{count} traces reparsed={reparsed}, reveal disagreements={disagreements}, "
+        f"regenerated bytes identical={regenerated}, curriculum stages {stages}",
+        {"reparsed": reparsed, "disagreements": disagreements, "regenerated": regenerated, "stages": stages},
     )
 
 

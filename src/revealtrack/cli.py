@@ -13,9 +13,12 @@ Commands:
 
 Every file-producing command writes ``<output>.manifest.json`` next to its
 output, recording the command, the full flag configuration, the seed, the
-package version, and a sha256 per output file. All randomness descends from
-the single ``--seed`` flag (per-trace seeds are split deterministically),
-so identical manifests regenerate identical bytes.
+package and numpy versions, and a sha256 per output file; ``simulate`` also
+records the sha256 of its input automaton. All randomness descends from the
+single ``--seed`` flag (per-trace seeds are split deterministically), so
+identical manifests regenerate identical bytes. ``numpy``'s random streams
+may change between its versions, so ``replay`` warns when the running numpy
+or a recorded input differs from the manifest.
 """
 
 from __future__ import annotations
@@ -45,14 +48,18 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out: Path, command: str, config: dict) -> Path:
+def _write_manifest(out: Path, command: str, config: dict, inputs: dict | None = None) -> Path:
+    """``inputs`` maps a config key that names an input file to its sha256."""
     manifest = {
         "artifact": "revealtrack",
         "version": __version__,
+        "numpy": np.__version__,
         "command": command,
         "config": config,
         "outputs": {out.name: _sha256(out)},
     }
+    if inputs:
+        manifest["inputs"] = inputs
     path = out.with_name(out.name + ".manifest.json")
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
@@ -158,9 +165,10 @@ def _run_simulate(config: dict, out: Path) -> None:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = {"automaton": str(args.automaton), "steps": args.steps, "seed": args.seed}
     out = Path(args.out)
+    inputs = {"automaton": _sha256(Path(config["automaton"]))}
     _run_simulate(config, out)
     print(f"wrote {config['steps']} steps to {out}")
-    _write_manifest(out, "simulate", config)
+    _write_manifest(out, "simulate", config, inputs)
     return 0
 
 
@@ -196,6 +204,24 @@ class _Manifest(dict):
         raise ValueError(f"manifest lacks key {key!r}")
 
 
+def _replay_conditions(manifest: dict, config: dict) -> list[str]:
+    """What differs from the run a manifest records: the numpy version and
+    the digest of each recorded input. A key the manifest lacks is not
+    checked, so older manifests replay without a warning."""
+    changed = []
+    recorded = manifest.get("numpy")
+    if recorded is not None and recorded != np.__version__:
+        changed.append(f"numpy {recorded} recorded, {np.__version__} running")
+    inputs = manifest.get("inputs", {})
+    if not isinstance(inputs, dict):
+        raise ValueError("manifest inputs must be a JSON object")
+    for key, digest in inputs.items():
+        path = Path(config[key])
+        if _sha256(path) != digest:
+            changed.append(f"input {path} changed since the run")
+    return changed
+
+
 def _cmd_replay(args: argparse.Namespace) -> int:
     manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"), object_hook=_Manifest)
     command = manifest["command"]
@@ -205,6 +231,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     outputs, config = manifest["outputs"], manifest["config"]
     if not isinstance(outputs, dict) or not isinstance(config, dict):
         raise ValueError("manifest outputs and config must be JSON objects")
+    changed = _replay_conditions(manifest, config)
+    if changed:
+        print("warning: replay may not reproduce the outputs: " + "; ".join(changed), file=sys.stderr)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ok = True

@@ -69,12 +69,18 @@ def swap_head(n: int, i: int, j: int) -> HouseholderStep:
 
 
 def run_recurrence(steps: Sequence[HouseholderStep], h0: np.ndarray) -> np.ndarray:
-    """Fold H <- A(step) @ H over the steps in sequence order."""
+    """Fold H <- A(step) @ H over the steps in sequence order.
+
+    Each step is applied as the rank-1 update H - beta k (k^T H), which
+    costs O(n m) for an n-by-m state and never forms A.
+    ``np.multiply.outer`` keeps a vector state a vector.
+    """
     h = np.asarray(h0, dtype=float).copy()
     for step in steps:
-        if step.n != h.shape[0]:
+        key = step.key
+        if key.shape[0] != h.shape[0]:
             raise ValueError(f"step of size {step.n} applied to state of shape {h.shape}")
-        h = householder_matrix(step) @ h
+        h -= step.beta * np.multiply.outer(key, key @ h)
     return h
 
 

@@ -20,23 +20,31 @@ reproduces the event list, and the executor replays the session to check
 every revealed value.
 
 Randomness: all sampling runs off ``numpy.random.default_rng(config.seed)``
-in a fixed draw order (per command slot: the command, then the revealed
-variable if the slot ends a reveal window), so a config regenerates its
-trace byte-for-byte. Full permutations are drawn uniformly excluding the
-identity, which carries no signal; the revealed variable is uniform.
+in a fixed draw order, so a config regenerates its trace byte-for-byte. Per
+command slot: ``rng.permutation(n)``, drawn again while it is the identity
+(which carries no signal), or ``rng.choice(n, 2, replace=False)`` for a
+swap; then ``rng.integers(n)`` for the revealed variable if the slot ends a
+reveal window.
+
+Events are immutable, and traces share them: each distinct command, reveal
+and init line is built once per process and reused by every trace that
+holds it.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import os
 import re
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .perm import Permutation, sample_uniform, transposition
+from .perm import Permutation, transposition
 
 ELEMENTARY_SWAP = "elementary_swap"
 FULL_PERMUTATION = "full_permutation"
@@ -125,40 +133,81 @@ def var_name(index: int) -> str:
     return chr(ord("a") + index)
 
 
-def _init_lines(var: int, value: int) -> tuple[str, ...]:
-    return (f">>> {var_name(var)} = {value}",)
+# Events are few: a full command depends only on its mapping, a swap on
+# (n, i, j), a reveal or an init line on (var, value). The caches evict
+# beyond _CACHE_SIZE entries, which hold all of S_7, so long runs at large n
+# keep their memory flat.
+_CACHE_SIZE = 8192
 
 
-def _command_lines(p: Permutation, kind: str) -> tuple[str, ...]:
+@lru_cache(maxsize=_CACHE_SIZE)
+def _init(var: int, value: int) -> TraceEvent:
+    return TraceEvent("init", (f">>> {var_name(var)} = {value}",), var=var, value=value)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _full_command(mapping: tuple[int, ...]) -> TraceEvent:
+    lhs = ", ".join(var_name(i) for i in range(len(mapping)))
+    rhs = ", ".join(var_name(i) for i in mapping)
+    return TraceEvent("command", (f">>> {lhs} = {rhs}",), permutation=Permutation(mapping))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _swap_command(n: int, i: int, j: int) -> TraceEvent:
+    """The swap of variables ``i < j``."""
+    first, second = var_name(i), var_name(j)
+    line = f">>> {first}, {second} = {second}, {first}"
+    return TraceEvent("command", (line,), permutation=transposition(n, i, j))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _reveal(var: int, value: int) -> TraceEvent:
+    name = var_name(var)
+    return TraceEvent("reveal", (f">>> print('{name}', {name})", f"{name} {value}"), var=var, value=value)
+
+
+def _command_event(p: Permutation, kind: str) -> TraceEvent:
     if kind == ELEMENTARY_SWAP:
-        moved = [i for i in range(p.n) if p(i) != i]
+        moved = [i for i, v in enumerate(p.mapping) if v != i]
         if len(moved) != 2:
             raise ValueError(f"{p.mapping} is not a transposition")
-        i, j = moved
-        return (f">>> {var_name(i)}, {var_name(j)} = {var_name(j)}, {var_name(i)}",)
-    lhs = ", ".join(var_name(i) for i in range(p.n))
-    rhs = ", ".join(var_name(p(i)) for i in range(p.n))
-    return (f">>> {lhs} = {rhs}",)
-
-
-def _reveal_lines(var: int, value: int) -> tuple[str, ...]:
-    name = var_name(var)
-    return (f">>> print('{name}', {name})", f"{name} {value}")
+        return _swap_command(p.n, *moved)
+    return _full_command(p.mapping)
 
 
 def _assemble(events: Sequence[TraceEvent]) -> tuple[str, tuple[tuple[int, int], ...]]:
     """Join event lines into the transcript and locate revealed-value spans."""
-    parts: list[str] = []
-    spans: list[tuple[int, int]] = []
-    offset = 0
+    lines: list[str] = []
+    reveals: list[tuple[int, TraceEvent]] = []  # (index of the print line, event)
     for ev in events:
-        for line_index, line in enumerate(ev.text_lines):
-            if ev.kind == "reveal" and line_index == 1:
-                start = offset + len(var_name(ev.var)) + 1
-                spans.append((start, start + len(str(ev.value))))
-            parts.append(line)
-            offset += len(line) + 1
-    return "".join(part + "\n" for part in parts), tuple(spans)
+        if ev.kind == "reveal":
+            reveals.append((len(lines), ev))
+        lines += ev.text_lines
+    # The output line after print line k starts past lines 0..k and their
+    # k + 1 newlines; its value starts past the one-letter name and a space.
+    ends = list(accumulate(map(len, lines)))
+    spans = []
+    for k, ev in reveals:
+        start = ends[k] + k + 3
+        spans.append((start, start + len(str(ev.value))))
+    text = "\n".join(lines) + "\n" if lines else ""
+    return text, tuple(spans)
+
+
+def _session(config: TraceConfig, commands: Sequence[TraceEvent], reveal_vars: Sequence[int]) -> Trace:
+    """The trace of ``commands`` with a reveal of ``reveal_vars[r]`` closing
+    the r-th reveal window; ``build_trace`` and ``generate`` both end here."""
+    state = list(range(1, config.n_vars + 1))
+    events = [_init(var, value) for var, value in enumerate(state)]
+    reveals = iter(reveal_vars)
+    for slot, command in enumerate(commands, start=1):
+        events.append(command)
+        state = [state[k] for k in command.permutation.mapping]
+        if slot % config.reveal_spacing == 0:
+            var = next(reveals)
+            events.append(_reveal(var, state[var]))
+    text, spans = _assemble(events)
+    return Trace(config, tuple(events), text, spans, tuple(state))
 
 
 def render(trace: Trace) -> str:
@@ -179,9 +228,10 @@ def execute(events: Sequence[TraceEvent]) -> ExecutionResult:
                 raise ValueError(f"init event {index} out of order")
             state.append(ev.value)
         elif ev.kind == "command":
-            if ev.permutation.n != len(state):
-                raise ValueError(f"command over {ev.permutation.n} vars, state has {len(state)}")
-            state = [state[ev.permutation(i)] for i in range(len(state))]
+            mapping = ev.permutation.mapping
+            if len(mapping) != len(state):
+                raise ValueError(f"command over {len(mapping)} vars, state has {len(state)}")
+            state = [state[k] for k in mapping]
         elif ev.kind == "reveal":
             if ev.var >= len(state):
                 raise ValueError(f"reveal of unknown variable index {ev.var}")
@@ -199,39 +249,32 @@ def build_trace(
 ) -> Trace:
     """Deterministic trace assembly from explicit commands and reveal picks.
 
-    ``generate`` samples its inputs and delegates here; calling it directly
-    pins down a specific session (useful for worked examples and tests).
+    ``generate`` draws the same inputs and assembles them the same way;
+    calling this directly pins down a specific session (useful for worked
+    examples and tests).
     """
     if len(commands) != config.n_commands:
         raise ValueError(f"expected {config.n_commands} commands, got {len(commands)}")
     if len(reveal_vars) != config.n_reveals:
         raise ValueError(f"expected {config.n_reveals} reveal choices, got {len(reveal_vars)}")
-    events: list[TraceEvent] = []
-    state = list(range(1, config.n_vars + 1))
-    for var, value in enumerate(state):
-        events.append(TraceEvent("init", _init_lines(var, value), var=var, value=value))
-    reveal_index = 0
-    for slot, command in enumerate(commands, start=1):
+    events = []
+    for command in commands:
         if command.n != config.n_vars:
             raise ValueError(f"command over {command.n} vars in a {config.n_vars}-var trace")
-        events.append(TraceEvent("command", _command_lines(command, config.command_kind), permutation=command))
-        state = [state[command(i)] for i in range(config.n_vars)]
-        if slot % config.reveal_spacing == 0:
-            var = reveal_vars[reveal_index]
-            reveal_index += 1
-            events.append(TraceEvent("reveal", _reveal_lines(var, state[var]), var=var, value=state[var]))
-    text, spans = _assemble(events)
-    return Trace(config, tuple(events), text, spans, tuple(state))
+        events.append(_command_event(command, config.command_kind))
+    return _session(config, events, [operator.index(var) for var in reveal_vars])
 
 
-def _sample_command(config: TraceConfig, rng: np.random.Generator) -> Permutation:
+def _sample_command(config: TraceConfig, rng: np.random.Generator) -> TraceEvent:
+    n = config.n_vars
     if config.command_kind == ELEMENTARY_SWAP:
-        i, j = (int(v) for v in rng.choice(config.n_vars, size=2, replace=False))
-        return transposition(config.n_vars, i, j)
+        i, j = rng.choice(n, size=2, replace=False).tolist()
+        return _swap_command(n, min(i, j), max(i, j))
+    identity = tuple(range(n))
     while True:
-        p = sample_uniform(config.n_vars, rng)
-        if not p.is_identity():
-            return p
+        mapping = tuple(rng.permutation(n).tolist())
+        if mapping != identity:
+            return _full_command(mapping)
 
 
 def generate(config: TraceConfig, rng: np.random.Generator | None = None) -> Trace:
@@ -239,13 +282,13 @@ def generate(config: TraceConfig, rng: np.random.Generator | None = None) -> Tra
     of the config (seed included)."""
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    commands: list[Permutation] = []
+    commands: list[TraceEvent] = []
     reveal_vars: list[int] = []
     for slot in range(1, config.n_commands + 1):
         commands.append(_sample_command(config, rng))
         if slot % config.reveal_spacing == 0:
             reveal_vars.append(int(rng.integers(config.n_vars)))
-    return build_trace(config, commands, reveal_vars)
+    return _session(config, commands, reveal_vars)
 
 
 def parse(text: str) -> Trace:
@@ -258,7 +301,7 @@ def parse(text: str) -> Trace:
     """
     lines = text.splitlines()
     events: list[TraceEvent] = []
-    names: list[str] = []
+    names: tuple[str, ...] = ()
     pending_print: tuple[str, int] | None = None  # (var name, line no)
     saw_command_or_reveal = False
 
@@ -274,13 +317,14 @@ def parse(text: str) -> Trace:
                     lineno,
                 )
             var = names.index(name)
-            events.append(
-                TraceEvent("reveal", (lines[lineno - 2], line), var=var, value=value)
-            )
+            events.append(_shared(_reveal(var, value), (lines[lineno - 2], line)))
             pending_print = None
             continue
 
-        init = _INIT_RE.match(line)
+        # Only an assignment has a comma after its first name; the init and
+        # print patterns cannot match such a line, so it skips them.
+        assignment = line[5:6] == ","
+        init = None if assignment else _INIT_RE.match(line)
         if init:
             name, value = init.group(1), int(init.group(2))
             if saw_command_or_reveal:
@@ -289,11 +333,11 @@ def parse(text: str) -> Trace:
                 raise TraceParseError(f"variable {name!r} initialized twice", lineno)
             if names and name != var_name(len(names)):
                 raise TraceParseError(f"out-of-order variable {name!r}", lineno)
-            names.append(name)
-            events.append(TraceEvent("init", (line,), var=len(names) - 1, value=value))
+            names += (name,)
+            events.append(_shared(_init(len(names) - 1, value), (line,)))
             continue
 
-        printed = _PRINT_RE.match(line)
+        printed = None if assignment else _PRINT_RE.match(line)
         if printed:
             label, operand = printed.group(1), printed.group(2)
             if label != operand:
@@ -304,13 +348,11 @@ def parse(text: str) -> Trace:
             pending_print = (label, lineno)
             continue
 
-        assign = _ASSIGN_RE.match(line)
-        if assign:
-            saw_command_or_reveal = True
-            events.append(_parse_command(assign, names, line, lineno))
-            continue
-
-        raise TraceParseError(f"unrecognized line {line!r}", lineno)
+        saw_command_or_reveal = True
+        try:
+            events.append(_parse_command(line, names))
+        except _LineError as exc:
+            raise TraceParseError(exc.message, lineno, exc.column) from None
 
     if pending_print is not None:
         raise TraceParseError("transcript ends inside a reveal", len(lines) + 1)
@@ -320,33 +362,58 @@ def parse(text: str) -> Trace:
     return _trace_from_events(events, len(names))
 
 
-def _parse_command(match: re.Match, names: list[str], line: str, lineno: int) -> TraceEvent:
+def _shared(event: TraceEvent, text_lines: tuple[str, ...]) -> TraceEvent:
+    """The shared ``event`` if it renders as ``text_lines``, else a copy
+    that keeps the lines as written (a value with leading zeros, say)."""
+    if event.text_lines == text_lines:
+        return event
+    return TraceEvent(event.kind, text_lines, var=event.var, value=event.value)
+
+
+class _LineError(Exception):
+    """A line-local parse error; ``parse`` adds the line number."""
+
+    def __init__(self, message: str, column: int = 1):
+        super().__init__(message)
+        self.message = message
+        self.column = column
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _parse_command(line: str, names: tuple[str, ...]) -> TraceEvent:
+    """The command event of ``line`` under the initialized ``names``.
+
+    Memoized: a transcript repeats few distinct command lines. Errors raise
+    and are never stored, so each one is reported afresh.
+    """
+    match = _ASSIGN_RE.match(line)
+    if not match:
+        raise _LineError(f"unrecognized line {line!r}")
     lhs = match.group(1).split(", ")
     rhs = match.group(2).split(", ")
     for name in lhs + rhs:
         if name not in names:
-            raise TraceParseError(f"unknown variable {name!r}", lineno, line.index(name) + 1)
+            raise _LineError(f"unknown variable {name!r}", line.index(name) + 1)
     if len(lhs) != len(rhs):
-        raise TraceParseError("left and right sides differ in length", lineno)
+        raise _LineError("left and right sides differ in length")
     if len(set(lhs)) != len(lhs) or len(set(rhs)) != len(rhs):
-        raise TraceParseError("assignment tuple is not bijective", lineno)
+        raise _LineError("assignment tuple is not bijective")
     n = len(names)
     if len(lhs) == 2 and len(lhs) < n:
         if rhs != [lhs[1], lhs[0]]:
-            raise TraceParseError("two-variable command must be a swap", lineno)
+            raise _LineError("two-variable command must be a swap")
         p = transposition(n, names.index(lhs[0]), names.index(lhs[1]))
     else:
-        if lhs != names:
-            raise TraceParseError("full command must list every variable in order", lineno)
+        if tuple(lhs) != names:
+            raise _LineError("full command must list every variable in order")
         if sorted(rhs) != sorted(names):
-            raise TraceParseError("assignment tuple is not bijective", lineno)
+            raise _LineError("assignment tuple is not bijective")
         p = Permutation(tuple(names.index(name) for name in rhs))
     return TraceEvent("command", (line,), permutation=p)
 
 
 def _trace_from_events(events: list[TraceEvent], n_vars: int) -> Trace:
     commands = [e for e in events if e.kind == "command"]
-    reveals = [e for e in events if e.kind == "reveal"]
     kind = ELEMENTARY_SWAP
     for e in commands:
         if len(e.text_lines[0].split(" = ")[0].split(", ")) > 2:

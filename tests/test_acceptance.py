@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines. C01-C10 and C12 run the ``revealtrack.checks`` functions that
-``verify`` runs, at this suite's sizes, and pin every tolerance on their
-measured numbers; README.md says why C11 keeps its own loop.
+lines. Every criterion runs the ``revealtrack.checks`` function that
+``verify`` runs, at this suite's sizes, and pins every tolerance on its
+measured numbers.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from contextlib import contextmanager
 
 import numpy as np
 
-import revealtrack as rt
 from revealtrack import checks
 from revealtrack.cli import main
 
@@ -130,37 +129,14 @@ def test_c10_discretized_state_counts():
         assert measured["joint_n3"] == 64
 
 
-def test_c11_trace_pipeline(tmp_path):
+def test_c11_trace_pipeline():
     with criterion("C11", "10,000 traces round-trip; curriculum quadruples; byte-identical regen"):
         started = time.perf_counter()
-        rng = np.random.default_rng(11)
-        configs = [
-            rt.TraceConfig(
-                n_vars=int(rng.integers(2, 7)),
-                n_commands=int(rng.integers(1, 65)),
-                reveal_spacing=int(rng.integers(1, 9)),
-                command_kind=rt.ELEMENTARY_SWAP if rng.random() < 0.5 else rt.FULL_PERMUTATION,
-                seed=int(rng.integers(0, 2**63)),
-            )
-            for _ in range(10_000)
-        ]
-        for config in configs:
-            trace = rt.generate(config)
-            parsed = rt.parse(rt.render(trace))
-            assert parsed.events == trace.events
-            assert rt.execute(parsed.events).disagreements == ()
-
-        batches = rt.curriculum(stage_samples=1)
-        assert [(b[0].n_commands, b[0].reveal_spacing) for b in batches] == [
-            (8, 1), (16, 2), (32, 4), (64, 8),
-        ]
-
-        first = tmp_path / "regen1.jsonl"
-        second = tmp_path / "regen2.jsonl"
-        subset = configs[:500]
-        rt.export_dataset((rt.generate(c) for c in subset), first)
-        rt.export_dataset((rt.generate(c) for c in subset), second)
-        assert first.read_bytes() == second.read_bytes()
+        measured = checks.check_trace_roundtrip(count=10_000, seed=11, max_commands=64).measured
+        assert measured["reparsed"]  # parsed.events == trace.events for every trace
+        assert measured["disagreements"] == 0
+        assert measured["stages"] == [(8, 1), (16, 2), (32, 4), (64, 8)]
+        assert measured["regenerated"]  # the first 500 export twice to the same bytes
         elapsed = time.perf_counter() - started
         assert elapsed < 60.0, f"trace pipeline took {elapsed:.1f}s"
 

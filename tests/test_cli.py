@@ -4,11 +4,15 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from revealtrack.automaton import write_automaton
 from revealtrack.cli import main
 from revealtrack.scenarios import hidden_swap_automaton
+
+
+GOLDEN = Path(__file__).parents[1] / "perfbench" / "golden.json"
 
 
 def read_csv(path):
@@ -98,7 +102,7 @@ def test_decay_with_resets(tmp_path, capsys):
 def test_decay_reports_match_golden_digests(tmp_path):
     # The short decay runs of perfbench/golden.json; their bytes do not
     # depend on numpy's random streams.
-    golden = json.loads((Path(__file__).parents[1] / "perfbench" / "golden.json").read_text())
+    golden = json.loads(GOLDEN.read_text())
     keys = [
         key for key in golden["digests"]
         if key.startswith("decay ") and ("--cycles 12 " in key or "--steps 24 " in key)
@@ -106,6 +110,23 @@ def test_decay_reports_match_golden_digests(tmp_path):
     assert len(keys) == 8
     for key in keys:
         out = tmp_path / "decay.csv"
+        assert main(key.split() + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == golden["digests"][key], key
+
+
+def test_gen_traces_match_golden_digests(tmp_path):
+    # The two small gen-traces runs of perfbench/golden.json. Their bytes
+    # follow numpy's random streams, so they hold for the recorded version.
+    golden = json.loads(GOLDEN.read_text())
+    if np.__version__ != golden["numpy"]:
+        pytest.skip(f"digests recorded under numpy {golden['numpy']}, running {np.__version__}")
+    keys = [
+        key for key in golden["digests"]
+        if key.startswith("gen-traces ") and ("--stage-samples 3 " in key or "--count 4 " in key)
+    ]
+    assert len(keys) == 2
+    for key in keys:
+        out = tmp_path / "traces.jsonl"
         assert main(key.split() + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == golden["digests"][key], key
 
@@ -197,6 +218,64 @@ def test_replay_matches_and_detects_tampering(tmp_path):
     assert main([
         "replay", "--manifest", str(manifest_path), "--out-dir", str(tmp_path / "replayed2"),
     ]) == 1
+
+
+def test_replay_warns_when_numpy_differs(tmp_path, capsys):
+    out = tmp_path / "traces.jsonl"
+    assert main([
+        "gen-traces", "--n-vars", "3", "--commands", "8", "--count", "3", "--seed", "2", "--out", str(out),
+    ]) == 0
+    manifest_path = tmp_path / "traces.jsonl.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["numpy"] == np.__version__
+    manifest["numpy"] = "0.0.0"
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["replay", "--manifest", str(manifest_path), "--out-dir", str(tmp_path / "again")]) == 0
+    captured = capsys.readouterr()
+    assert "-> match" in captured.out
+    assert captured.err == (
+        f"warning: replay may not reproduce the outputs: numpy 0.0.0 recorded, {np.__version__} running\n"
+    )
+
+
+def test_replay_reports_automaton_edited_after_simulate(tmp_path, capsys):
+    automaton_path = tmp_path / "hidden.pfsa"
+    write_automaton(hidden_swap_automaton(), automaton_path)
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--automaton", str(automaton_path), "--steps", "4", "--out", str(out)]) == 0
+    manifest_path = tmp_path / "sim.csv.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["inputs"] == {"automaton": hashlib.sha256(automaton_path.read_bytes()).hexdigest()}
+
+    capsys.readouterr()
+    assert main(["replay", "--manifest", str(manifest_path), "--out-dir", str(tmp_path / "same")]) == 0
+    assert capsys.readouterr().err == ""
+
+    # A trailing blank line changes the file's bytes but not the automaton.
+    automaton_path.write_text(automaton_path.read_text() + "\n")
+    assert main(["replay", "--manifest", str(manifest_path), "--out-dir", str(tmp_path / "edited")]) == 0
+    captured = capsys.readouterr()
+    assert "-> match" in captured.out
+    assert captured.err == (
+        f"warning: replay may not reproduce the outputs: input {automaton_path} changed since the run\n"
+    )
+
+
+def test_replay_without_recorded_conditions(tmp_path, capsys):
+    # Manifests written before numpy and inputs were recorded still replay.
+    automaton_path = tmp_path / "hidden.pfsa"
+    write_automaton(hidden_swap_automaton(), automaton_path)
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--automaton", str(automaton_path), "--steps", "4", "--out", str(out)]) == 0
+    manifest_path = tmp_path / "sim.csv.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["numpy"], manifest["inputs"]
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["replay", "--manifest", str(manifest_path), "--out-dir", str(tmp_path / "again")]) == 0
+    captured = capsys.readouterr()
+    assert "-> match" in captured.out and captured.err == ""
 
 
 @pytest.mark.parametrize("drop", ("outputs", "emulate"))

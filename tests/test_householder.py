@@ -68,6 +68,20 @@ def test_swap_applied_twice_restores_state():
     assert np.abs(run_recurrence([step, step], h0) - h0).max() <= 1e-12
 
 
+def test_rank_one_step_matches_dense_matrix():
+    # run_recurrence applies H - beta k (k^T H); the dense matrix is the reference.
+    rng = np.random.default_rng(23)
+    for n in (2, 8, 64):
+        for _ in range(50):
+            key = rng.standard_normal(n)
+            key /= np.linalg.norm(key)
+            step = HouseholderStep(float(rng.uniform(0.0, 2.0)), key)
+            for h in (rng.standard_normal((n, n)), rng.standard_normal((n, 3)), rng.standard_normal(n)):
+                got = run_recurrence([step], h)
+                assert got.shape == h.shape
+                assert np.abs(got - householder_matrix(step) @ h).max() <= 1e-14
+
+
 def test_validation():
     with pytest.raises(ValueError):
         swap_head(4, 2, 2)

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from revealtrack.perm import Permutation, transposition
+from revealtrack import trace as trace_module
+from revealtrack.perm import Permutation, sample_uniform, transposition
 from revealtrack.trace import (
+    COMMAND_KINDS,
     CURRICULUM_STAGES,
     ELEMENTARY_SWAP,
     FULL_PERMUTATION,
@@ -171,6 +173,79 @@ def test_generate_roundtrip_property():
 def test_generate_deterministic():
     config = TraceConfig(5, 16, 2, FULL_PERMUTATION, seed=99)
     assert generate(config).text == generate(config).text
+
+
+def reference_draws(config: TraceConfig) -> tuple[list[Permutation], list[int]]:
+    """The draw loop as first written: one Permutation per slot, then the
+    revealed variable when the slot ends a reveal window."""
+    rng = np.random.default_rng(config.seed)
+    commands, reveal_vars = [], []
+    for slot in range(1, config.n_commands + 1):
+        if config.command_kind == ELEMENTARY_SWAP:
+            i, j = (int(v) for v in rng.choice(config.n_vars, size=2, replace=False))
+            commands.append(transposition(config.n_vars, i, j))
+        else:
+            p = sample_uniform(config.n_vars, rng)
+            while p.is_identity():
+                p = sample_uniform(config.n_vars, rng)
+            commands.append(p)
+        if slot % config.reveal_spacing == 0:
+            reveal_vars.append(int(rng.integers(config.n_vars)))
+    return commands, reveal_vars
+
+
+@pytest.mark.parametrize("kind", COMMAND_KINDS)
+@pytest.mark.parametrize("n_vars", (2, 5, 8, 26))
+def test_generate_keeps_the_reference_draws(kind, n_vars):
+    for seed in (0, 1, 7, 2**63 + 5):
+        config = TraceConfig(n_vars, 40, 3, kind, seed=seed)
+        assert generate(config) == build_trace(config, *reference_draws(config))
+
+
+def test_event_caches_stay_bounded():
+    caches = [obj for obj in vars(trace_module).values() if hasattr(obj, "cache_info")]
+    assert caches
+    # 160 traces of 64 distinct commands at n = 26 overflow an 8192-entry cache.
+    for index in range(160):
+        config = TraceConfig(26, 64, 8, FULL_PERMUTATION, seed=derive_seed(3, 0, index))
+        assert parse(generate(config).text).events == generate(config).events
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize, cache
+    assert max(cache.cache_info().currsize for cache in caches) == trace_module._CACHE_SIZE
+
+
+def test_parse_memo_never_stores_an_error():
+    line = ">>> a, b, c, d, e = b, c, d, e, a"
+    five = "".join(f">>> {var_name(i)} = {i + 1}\n" for i in range(5)) + line + "\n"
+    three = ">>> a = 1\n>>> b = 2\n>>> c = 3\n" + line + "\n"
+
+    def error(text):
+        with pytest.raises(TraceParseError) as info:
+            parse(text)
+        return str(info.value), info.value.line, info.value.column
+
+    trace_module._parse_command.cache_clear()
+    fresh = error(three)
+    assert fresh == ("line 4, column 14: unknown variable 'd'", 4, 14)
+    assert trace_module._parse_command.cache_info().currsize == 0
+    assert parse(five).final_state == (2, 3, 4, 5, 1)
+    assert error(three) == fresh
+    assert error(three.replace(">>> c = 3\n", ">>> c = 3\n>>> print('a', a)\na 1\n")) == (
+        "line 6, column 14: unknown variable 'd'", 6, 14,
+    )
+
+
+def test_parse_keeps_lines_as_written():
+    # A reveal value with a leading zero parses to the same value, keeps its
+    # line and does not alter the shared event of the canonical line.
+    text = ">>> a = 1\n>>> b = 2\n>>> a, b = b, a\n>>> print('a', a)\na 02\n"
+    parsed = parse(text)
+    assert parsed.text == text
+    assert parsed.events[-1].value == 2 and parsed.events[-1].text_lines[1] == "a 02"
+    assert parsed.reveal_spans == ((len(text) - 3, len(text) - 2),)
+    canonical = parse(text.replace("a 02", "a 2"))
+    assert canonical.events[-1].text_lines[1] == "a 2"
 
 
 def test_full_permutations_exclude_identity():
