@@ -7,7 +7,8 @@ Two linear updates move the state:
 
 - mixing: H <- P_s @ H with P_s a convex combination of permutation
   matrices acting on positions (rows); doubly stochastic H stays doubly
-  stochastic.
+  stochastic. A ``MixSpec`` builds its read-only P_s once, when it is
+  constructed, so a mix step is one n-by-n product.
 - reveal of "position i holds element j": H <- D_l @ H @ D_r + B with
   D_l = I - e_i e_i^T, D_r = I - e_j e_j^T, B = e_i e_j^T. Entry (i, j)
   becomes 1 and the rest of the cross is zeroed; everything else is
@@ -24,7 +25,7 @@ product, not for speed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import ClassVar
 
@@ -44,27 +45,34 @@ class MixSpec:
 
     label: ClassVar[str] = "mix"
     components: tuple[tuple[Permutation, float], ...]
+    # Read-only P_s = sum_i c_i P_i, built once from the components.
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.components:
             raise ValueError("mixture needs at least one component")
         weights = np.array([w for _, w in self.components], dtype=float)
+        if not np.all(np.isfinite(weights)):
+            raise ValueError(f"weights {weights} are not finite")
         if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
             raise ValueError(f"weights {weights} are not a distribution")
         sizes = {p.n for p, _ in self.components}
         if len(sizes) != 1:
             raise ValueError("mixture components act on different sizes")
+        n = sizes.pop()
+        out = np.zeros((n, n))
+        for p, w in self.components:
+            out += w * to_matrix(p)
+        out.setflags(write=False)
+        object.__setattr__(self, "matrix", out)
 
     @property
     def n(self) -> int:
         return self.components[0][0].n
 
     def realized(self) -> np.ndarray:
-        """The doubly stochastic matrix P_s = sum_i c_i P_i."""
-        out = np.zeros((self.n, self.n))
-        for p, w in self.components:
-            out += w * to_matrix(p)
-        return out
+        """The doubly stochastic matrix P_s = sum_i c_i P_i (read-only)."""
+        return self.matrix
 
 
 @dataclass(frozen=True)
@@ -87,10 +95,11 @@ def marginal_init(n: int) -> np.ndarray:
 
 
 def marginal_mix(state: np.ndarray, mix: MixSpec) -> np.ndarray:
+    p_s = mix.matrix
     state = np.asarray(state, dtype=float)
-    if state.shape != (mix.n, mix.n):
-        raise ValueError(f"state shape {state.shape} under mixture of size {mix.n}")
-    return mix.realized() @ state
+    if state.shape != p_s.shape:
+        raise ValueError(f"state shape {state.shape} under mixture of size {p_s.shape[0]}")
+    return p_s @ state
 
 
 def reveal_operators(n: int, r: RevealSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -179,8 +188,9 @@ def sinkhorn_project(
 ) -> SinkhornResult:
     """Alternate row/column normalization toward a doubly stochastic matrix.
 
-    Requires every row and column to have a nonzero entry (raises
-    NoSupportError otherwise). Stops once the worst row/column sum deviates
+    Requires finite, nonnegative entries (raises ValueError otherwise) and
+    a nonzero entry in every row and column (raises NoSupportError
+    otherwise). Stops once the worst row/column sum deviates
     from 1 by at most ``tol``; if ``max_iters`` passes are exhausted first,
     the best iterate is returned with ``converged=False`` rather than
     raising, since matrices produced by reveals can sit on the polytope
@@ -189,6 +199,8 @@ def sinkhorn_project(
     h = np.asarray(state, dtype=float).copy()
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got {h.shape}")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("Sinkhorn input must be finite")
     if np.any(h < 0):
         raise ValueError("Sinkhorn input must be nonnegative")
     if np.any(h.sum(axis=1) == 0) or np.any(h.sum(axis=0) == 0):

@@ -66,6 +66,67 @@ def test_mix_validation():
         marginal_mix(np.eye(4), HALF_SWAP_12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mix_rejects_non_finite_weights(bad):
+    with pytest.raises(ValueError, match="not finite"):
+        MixSpec(((identity(3), bad), (transposition(3, 0, 1), 0.5)))
+
+
+def _per_call_realized(mix: MixSpec) -> np.ndarray:
+    """P_s built from scratch, as every mix step once did."""
+    out = np.zeros((mix.n, mix.n))
+    for p, w in mix.components:
+        out += w * to_matrix(p)
+    return out
+
+
+def test_stored_mix_matrix_keeps_every_state_bit():
+    rng = np.random.default_rng(20)
+    for n in range(2, 8):
+        for k in range(1, 5):
+            perms = [sample_uniform(n, rng) for _ in range(k)]
+            if k >= 2:
+                perms[1] = perms[0]  # one permutation repeated twice
+            weights = rng.dirichlet(np.ones(k))
+            mix = MixSpec(tuple((p, float(w)) for p, w in zip(perms, weights)))
+            stored = reference = marginal_init(n)
+            for _ in range(40):
+                if rng.random() < 0.3:
+                    reveal = RevealSpec(int(rng.integers(n)), int(rng.integers(n)))
+                    stored = marginal_reveal(stored, reveal)
+                    reference = marginal_reveal(reference, reveal)
+                else:
+                    stored = marginal_mix(stored, mix)
+                    reference = _per_call_realized(mix) @ reference
+                assert np.array_equal(stored, reference)
+
+
+def test_mix_matrix_is_built_once(monkeypatch):
+    calls = []
+
+    def counting_to_matrix(p):
+        calls.append(p)
+        return to_matrix(p)
+
+    monkeypatch.setattr("revealtrack.marginal.to_matrix", counting_to_matrix)
+    components = ((identity(4), 0.25), (transposition(4, 0, 3), 0.75))
+    mix = MixSpec(components)
+    assert len(calls) == 2
+    calls.clear()
+    h = marginal_init(4)
+    for _ in range(10):
+        h = marginal_mix(h, mix)
+    assert calls == []
+    assert mix.realized() is mix.matrix
+    assert not mix.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        mix.matrix[0, 0] = 1.0
+    twin = MixSpec(components)
+    assert twin == mix and hash(twin) == hash(mix)
+    assert twin.matrix is not mix.matrix
+    assert repr(mix) == f"MixSpec(components={components!r})"
+
+
 def test_reveal_pins_cross():
     h1 = np.array([[1, 0, 0], [0, 0.5, 0.5], [0, 0.5, 0.5]])
     h2 = marginal_reveal(h1, RevealSpec(1, 1))
@@ -152,6 +213,12 @@ def test_sinkhorn_no_support():
         sinkhorn_project(np.array([[1.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(ValueError):
         sinkhorn_project(np.array([[1.0, -0.1], [0.5, 1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sinkhorn_rejects_non_finite_input(bad):
+    with pytest.raises(ValueError, match="finite"):
+        sinkhorn_project(np.array([[1.0, bad], [0.5, 1.0]]))
 
 
 def test_sinkhorn_budget_exhaustion_returns_best_iterate():
