@@ -159,8 +159,9 @@ class Symbol:
             object.__setattr__(self, "transition", t)
         reveal = frozenset(int(q) for q in self.reveal)
         object.__setattr__(self, "reveal", reveal)
-        mask = np.zeros(t.shape[0])
-        mask[[q for q in reveal if 0 <= q < t.shape[0]]] = 1.0
+        m = t.shape[0]
+        mask = np.zeros(m)
+        mask[[q for q in reveal if 0 <= q < m]] = 1.0
         mask.setflags(write=False)
         object.__setattr__(self, "mask", mask)
         if not _NAME_RE.match(self.name):
@@ -368,15 +369,31 @@ def consistent_symbols(a: Pfsa, state: int) -> np.ndarray:
     return np.array([i for i, s in enumerate(a.symbols) if state in s.reveal], dtype=int)
 
 
-def sample_transition(a: Pfsa, symbol: int, state: int, rng: np.random.Generator) -> int:
-    """Draw the next state from column ``state`` of the symbol's kernel.
+def _column_cdf(a: Pfsa, symbol: int, state: int) -> tuple[np.ndarray, np.ndarray]:
+    """The states of nonzero probability in column ``state`` of the symbol's
+    kernel, and the running sums of their probabilities.
+
+    These sums are the full column's running sums at those states, bit for
+    bit, since adding a zero changes no sum.
+    """
+    col = a.symbols[symbol].column(state)
+    support = np.flatnonzero(col)
+    return support, np.cumsum(col[support])
+
+
+def _draw_next(support: np.ndarray, cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """The state of ``support`` that a uniform draw lands on.
 
     A column may sum to slightly less than 1, so a draw can land past its
     total; it then goes to the last state of nonzero probability.
     """
-    col = a.symbols[symbol].column(state)
-    nxt = int(np.searchsorted(np.cumsum(col), rng.random(), side="right"))
-    return nxt if nxt < a.m else int(np.flatnonzero(col)[-1])
+    k = int(np.searchsorted(cdf, rng.random(), side="right"))
+    return int(support[min(k, len(support) - 1)])
+
+
+def sample_transition(a: Pfsa, symbol: int, state: int, rng: np.random.Generator) -> int:
+    """Draw the next state from column ``state`` of the symbol's kernel."""
+    return _draw_next(*_column_cdf(a, symbol, state), rng)
 
 
 @dataclass(frozen=True)
@@ -401,14 +418,23 @@ def sample_trajectory(
     q = a.q0
     states = [q]
     chosen: list[int] = []
+    # Built once per call: each state's consistent symbols and each
+    # (symbol, state) column's support and running sums.
+    options_at: dict[int, np.ndarray] = {}
+    columns: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
     for t in range(steps):
-        options = consistent_symbols(a, q)
+        options = options_at.get(q)
+        if options is None:
+            options = options_at[q] = consistent_symbols(a, q)
         if len(options) == 0:
             raise DeadEndError(f"state {q} at step {t} admits no consistent symbol")
         s = policy(q, options, rng)
         if q not in a.symbols[s].reveal:
             raise DeadEndError(f"policy chose inconsistent symbol {s} in state {q}")
-        q = sample_transition(a, s, q, rng)
+        column = columns.get((s, q))
+        if column is None:
+            column = columns[s, q] = _column_cdf(a, s, q)
+        q = _draw_next(*column, rng)
         chosen.append(s)
         states.append(q)
     return Trajectory(tuple(states), tuple(chosen))

@@ -29,7 +29,7 @@ k gathers of length n! per step, and a reveal is the identity gather.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -45,19 +45,29 @@ class MassUnderflowError(ArithmeticError):
 
 @dataclass(frozen=True)
 class JointLinearState:
-    """Unnormalized message h plus the running log of its ell-1 mass."""
+    """Unnormalized message h, its ell-1 mass ``h.sum()``, and the running
+    log of that mass."""
 
     h: np.ndarray
     log_mass: float
+    mass: float = field(init=False)
 
     def __post_init__(self) -> None:
         h = np.asarray(self.h, dtype=float).copy()
         h.setflags(write=False)
         object.__setattr__(self, "h", h)
+        object.__setattr__(self, "mass", float(h.sum()))
 
-    @property
-    def mass(self) -> float:
-        return float(self.h.sum())
+    @classmethod
+    def _adopt(cls, h: np.ndarray, log_mass: float, mass: float) -> JointLinearState:
+        """A state that takes ownership of a fresh ``h`` summing to ``mass``,
+        without the copy and the sum of the constructor."""
+        h.setflags(write=False)
+        state = object.__new__(cls)
+        object.__setattr__(state, "h", h)
+        object.__setattr__(state, "log_mass", log_mass)
+        object.__setattr__(state, "mass", mass)
+        return state
 
 
 def joint_init(b0: np.ndarray) -> JointLinearState:
@@ -73,21 +83,20 @@ def joint_step(state: JointLinearState, a: Pfsa, symbol: int) -> JointLinearStat
     returns it with log_mass = -inf instead of raising.
     """
     h = a.symbols[symbol].apply(state.h)
-    before = state.h.sum()
-    after = h.sum()
+    before = state.mass
+    after = float(h.sum())
     if before > 0 and after > 0:
         log_mass = state.log_mass + math.log(after / before)
     else:
         log_mass = -math.inf
-    return JointLinearState(h, log_mass)
+    return JointLinearState._adopt(h, log_mass, after)
 
 
 def joint_decode(state: JointLinearState) -> np.ndarray:
     """Normalized belief h / ||h||_1. Raises MassUnderflowError on zero mass."""
-    total = state.h.sum()
-    if total <= 0.0:
+    if state.mass <= 0.0:
         raise MassUnderflowError("joint state mass is zero; cannot decode a belief")
-    return state.h / total
+    return state.h / state.mass
 
 
 def survival(a: Pfsa, b: np.ndarray, symbol: int) -> float:
@@ -133,15 +142,30 @@ def mixture_symbol(
     ``action`` is "position" or "element" (see module docstring). Weights
     must be nonnegative and sum to 1.
     """
-    pullback = _PULLBACKS[action]
+    if action not in _PULLBACKS:
+        raise KeyError(action)
     weights = np.array([w for _, w in components], dtype=float)
     if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-12):
         raise ValueError(f"weights {weights} are not a distribution")
     if any(g.n != n for g, _ in components):
         raise ValueError(f"mixture components do not all act on {n} items")
-    table = one_line_table(n)
-    sources = [lex_indices(pullback(table, np.argsort(g.mapping))) for g, _ in components]
-    return Symbol(name, PermutationMixture(sources, weights), frozenset(range(len(table))))
+    sources = [_gather(action, g.mapping) for g, _ in components]
+    return Symbol(name, PermutationMixture(sources, weights), _all_states(math.factorial(n)))
+
+
+# Holds every element of S_2..S_4 under both actions; at n = 8 a full cache
+# takes 64 gathers of 40320 indices, about 21 MB.
+@lru_cache(maxsize=64)
+def _gather(action: str, mapping: tuple[int, ...]) -> np.ndarray:
+    """The read-only gather of group element ``mapping`` under ``action``."""
+    sources = lex_indices(_PULLBACKS[action](one_line_table(len(mapping)), np.argsort(mapping)))
+    sources.setflags(write=False)
+    return sources
+
+
+@lru_cache(maxsize=None)
+def _all_states(m: int) -> frozenset[int]:
+    return frozenset(range(m))
 
 
 @lru_cache(maxsize=None)

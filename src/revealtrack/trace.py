@@ -20,11 +20,14 @@ reproduces the event list, and the executor replays the session to check
 every revealed value.
 
 Randomness: all sampling runs off ``numpy.random.default_rng(config.seed)``
-in a fixed draw order, so a config regenerates its trace byte-for-byte. Per
-command slot: ``rng.permutation(n)``, drawn again while it is the identity
-(which carries no signal), or ``rng.choice(n, 2, replace=False)`` for a
-swap; then ``rng.integers(n)`` for the revealed variable if the slot ends a
-reveal window.
+in a fixed draw order, so a config regenerates its trace byte-for-byte. A
+full-permutation slot draws ``rng.permutation(n)``, again while it is the
+identity (which carries no signal), then ``rng.integers(n)`` for the
+revealed variable if the slot ends a reveal window. A swap slot draws
+integers on [0, n-2] (none when n = 2), [0, n-1] and [0, 1], then one on
+[0, n-1] if it ends a reveal window; a trace takes them all in one
+``rng.integers`` call. These are the draws of a per-slot
+``rng.choice(n, 2, replace=False)`` and ``rng.integers(n)``.
 
 Events are immutable, and traces share them: each distinct command, reveal
 and init line is built once per process and reused by every trace that
@@ -265,16 +268,49 @@ def build_trace(
     return _session(config, events, [operator.index(var) for var in reveal_vars])
 
 
-def _sample_command(config: TraceConfig, rng: np.random.Generator) -> TraceEvent:
+def _full_commands(
+    config: TraceConfig, rng: np.random.Generator
+) -> tuple[list[TraceEvent], list[int]]:
     n = config.n_vars
-    if config.command_kind == ELEMENTARY_SWAP:
-        i, j = rng.choice(n, size=2, replace=False).tolist()
-        return _swap_command(n, min(i, j), max(i, j))
     identity = tuple(range(n))
-    while True:
-        mapping = tuple(rng.permutation(n).tolist())
-        if mapping != identity:
-            return _full_command(mapping)
+    commands: list[TraceEvent] = []
+    reveal_vars: list[int] = []
+    for slot in range(1, config.n_commands + 1):
+        mapping = identity
+        while mapping == identity:
+            mapping = tuple(rng.permutation(n).tolist())
+        commands.append(_full_command(mapping))
+        if slot % config.reveal_spacing == 0:
+            reveal_vars.append(int(rng.integers(n)))
+    return commands, reveal_vars
+
+
+def _swap_commands(
+    config: TraceConfig, rng: np.random.Generator
+) -> tuple[list[TraceEvent], list[int]]:
+    """The draws of ``rng.choice(n, 2, replace=False)`` per slot, and of
+    ``rng.integers(n)`` after each reveal window, in one call.
+
+    ``choice`` is Floyd's sampling: i on [0, n-2], then j on [0, n-1] with
+    j = n-1 if it hits i, then one draw on [0, 1] that shuffles the pair.
+    Each draw is a bounded integer, which ``integers`` takes elementwise
+    from an array of bounds; a bound of 1 draws nothing in either call.
+    """
+    n, spacing = config.n_vars, config.reveal_spacing
+    highs: list[int] = []
+    for slot in range(1, config.n_commands + 1):
+        highs += (n - 1, n, 2, n) if slot % spacing == 0 else (n - 1, n, 2)
+    draws = iter(rng.integers(0, highs).tolist())
+    commands: list[TraceEvent] = []
+    reveal_vars: list[int] = []
+    for slot in range(1, config.n_commands + 1):
+        i, j, _ = next(draws), next(draws), next(draws)
+        if j == i:
+            j = n - 1
+        commands.append(_swap_command(n, min(i, j), max(i, j)))
+        if slot % spacing == 0:
+            reveal_vars.append(next(draws))
+    return commands, reveal_vars
 
 
 def generate(config: TraceConfig, rng: np.random.Generator | None = None) -> Trace:
@@ -282,13 +318,8 @@ def generate(config: TraceConfig, rng: np.random.Generator | None = None) -> Tra
     of the config (seed included)."""
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    commands: list[TraceEvent] = []
-    reveal_vars: list[int] = []
-    for slot in range(1, config.n_commands + 1):
-        commands.append(_sample_command(config, rng))
-        if slot % config.reveal_spacing == 0:
-            reveal_vars.append(int(rng.integers(config.n_vars)))
-    return _session(config, commands, reveal_vars)
+    sample = _swap_commands if config.command_kind == ELEMENTARY_SWAP else _full_commands
+    return _session(config, *sample(config, rng))
 
 
 def parse(text: str) -> Trace:

@@ -14,6 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from revealtrack import checks
+from revealtrack import trace as trace_module
 from revealtrack.cli import main
 
 # Maps the worked example's arrangement numbering ([1,2,3], [2,1,3], [3,2,1],
@@ -136,9 +137,29 @@ def test_c11_trace_pipeline():
         assert measured["reparsed"]  # parsed.events == trace.events for every trace
         assert measured["disagreements"] == 0
         assert measured["stages"] == [(8, 1), (16, 2), (32, 4), (64, 8)]
-        assert measured["regenerated"]  # the first 500 export twice to the same bytes
+        assert measured["regenerated"]  # the first 500 regenerate to the same export bytes
         elapsed = time.perf_counter() - started
         assert elapsed < 60.0, f"trace pipeline took {elapsed:.1f}s"
+
+
+def test_c11_detects_nondeterministic_generate(monkeypatch):
+    # Every second call draws from another stream. The regeneration is
+    # compared with the traces of the parse pass, so it must differ.
+    generate = trace_module.generate
+    calls = []
+
+    def flaky(config, rng=None):
+        calls.append(config)
+        if len(calls) % 2 == 0:
+            rng = np.random.default_rng([config.seed, len(calls)])
+        return generate(config, rng)
+
+    monkeypatch.setattr(trace_module, "generate", flaky)
+    result = checks.check_trace_roundtrip(count=6, seed=5)
+    assert result.measured["reparsed"] and result.measured["disagreements"] == 0
+    assert result.measured["regenerated"] is False
+    assert not result.passed
+    assert len(calls) == 12  # one parse pass and one regeneration
 
 
 def test_c12_underflow_threshold_and_reset_stability():

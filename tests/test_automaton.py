@@ -241,7 +241,47 @@ def test_sample_transition_skips_zero_probability_tail():
         def random(self) -> float:
             return 1.0 - 2.0 ** -53
 
+        def integers(self, high: int) -> int:
+            return high - 1
+
     assert sample_transition(a, 0, 0, TopDraw()) == 1
+    # sample_trajectory draws from the same columns: state 0 goes to 1,
+    # where the top draw stays.
+    assert sample_trajectory(a, 3, TopDraw()).states == (0, 1, 1, 1)
+
+
+def test_sample_trajectory_matches_per_step_draws():
+    # The reference searches each step's dense column afresh. Kernels with
+    # zeros, entries too small to move a running sum, and columns a little
+    # short of 1 must give the same states from the same draws.
+    def reference(a, steps, rng):
+        q, states, chosen = a.q0, [a.q0], []
+        for _ in range(steps):
+            options = [i for i, sym in enumerate(a.symbols) if q in sym.reveal]
+            s = options[rng.integers(len(options))]
+            col = np.asarray(a.symbols[s].transition)[:, q]
+            nxt = int(np.searchsorted(np.cumsum(col), rng.random(), side="right"))
+            q = nxt if nxt < a.m else int(np.flatnonzero(col)[-1])
+            chosen.append(s)
+            states.append(q)
+        return tuple(states), tuple(chosen)
+
+    meta = np.random.default_rng(4)
+    for _ in range(40):
+        m = int(meta.integers(2, 7))
+        symbols = []
+        for k in range(3):
+            t = meta.random((m, m)) * (meta.random((m, m)) < 0.5)
+            t[meta.integers(m, size=m), np.arange(m)] += 1.0
+            t /= t.sum(axis=0)
+            t[meta.integers(m), :] *= meta.choice([1.0, 1e-300])
+            t *= 1.0 - 4e-13 * meta.random(m)
+            reveal = range(m) if k == 0 else np.flatnonzero(meta.random(m) < 0.6)
+            symbols.append(Symbol(f"s{k}", t, frozenset(int(q) for q in reveal) or {0}))
+        a = Pfsa(tuple(symbols), q0=int(meta.integers(m)))
+        seed = int(meta.integers(2**32))
+        got = sample_trajectory(a, 60, np.random.default_rng(seed))
+        assert (got.states, got.symbols) == reference(a, 60, np.random.default_rng(seed))
 
 
 def test_validate_belief_rejects_non_finite():

@@ -131,6 +131,47 @@ def test_gen_traces_match_golden_digests(tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == golden["digests"][key], key
 
 
+# Swap-command bytes and the default verify report, recorded under numpy
+# 2.4.6. Both follow numpy's random streams, so they hold for that version.
+RECORDED_NUMPY = "2.4.6"
+SWAP_ARGV = "gen-traces --n-vars 5 --commands 64 --spacing 8 --kind swap --count 20 --seed 7"
+SWAP_DIGEST = "b3433a6d9b784863b7cd7cb7f994a44ac56b0ae0fd756e13bfc3f871676c6ac5"
+VERIFY_STDOUT = """\
+PASS joint-absorbing-decay: inexact norms 0, max decode error 0.00e+00 over 20 cycles
+PASS marginal-swap-reveal-decay: 5/5 matrices exact, unrevealed entry follows [0.5, 0.25, 0.125]
+PASS noisy-swap-worked-example: h1 exact=True, h2 exact=True, uniform reset error 0.00e+00
+PASS hidden-swap-belief: trajectory [1. 0.] -> [0.5 0.5] -> [1. 0.]
+PASS joint-oracle-equivalence: 200 runs of 40 steps: decode err 2.22e-16, telescoping err 5.51e-15, log-mass err 3.55e-15
+PASS marginal-joint-bridge: mixing error 2.22e-16 over 50 runs; largest posterior mass on a zeroed entry 0.00e+00 (389 reveals)
+PASS sinkhorn-projection: 200 positive matrices: 0 unconverged, row/column sums within 9.87e-10 of 1; diagonal support -> identity True
+PASS kronecker-vectorization: 200 random instances max gap 7.11e-15; reveal via kron ok=True
+PASS householder-composition: 256 swaps in S_8: max deviation 1.27e-14, min eig -1.0
+PASS householder-eigen-gate: beta=2 min eig -1.0; capped min eig 0.002, product det 4.127e-27 (a swap needs det -1)
+PASS discretized-state-counts: 2**3! = 64, 10**81, 5**1 = 5
+PASS trace-roundtrip: 300 traces reparsed=True, reveal disagreements=0, regenerated bytes identical=True, curriculum stages [(8, 1), (16, 2), (32, 4), (64, 8)]
+PASS underflow-threshold: joint underflow at cycle 127, marginal at 127, with 8-cycle resets none over 1000 cycles (norm floor 0.00390625)
+13/13 checks passed
+"""
+
+
+def _needs_recorded_numpy():
+    if np.__version__ != RECORDED_NUMPY:
+        pytest.skip(f"recorded under numpy {RECORDED_NUMPY}, running {np.__version__}")
+
+
+def test_gen_traces_swap_digest(tmp_path):
+    _needs_recorded_numpy()
+    out = tmp_path / "swap.jsonl"
+    assert main(SWAP_ARGV.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWAP_DIGEST
+
+
+def test_verify_default_output(capsys):
+    _needs_recorded_numpy()
+    assert main(["verify"]) == 0
+    assert capsys.readouterr().out == VERIFY_STDOUT
+
+
 def test_decay_rejects_unknown_scenario(tmp_path):
     with pytest.raises(SystemExit):
         main(["decay", "--scenario", "nonsense", "--out", str(tmp_path / "x.csv")])

@@ -175,10 +175,11 @@ def test_generate_deterministic():
     assert generate(config).text == generate(config).text
 
 
-def reference_draws(config: TraceConfig) -> tuple[list[Permutation], list[int]]:
+def reference_draws(
+    config: TraceConfig, rng: np.random.Generator
+) -> tuple[list[Permutation], list[int]]:
     """The draw loop as first written: one Permutation per slot, then the
     revealed variable when the slot ends a reveal window."""
-    rng = np.random.default_rng(config.seed)
     commands, reveal_vars = [], []
     for slot in range(1, config.n_commands + 1):
         if config.command_kind == ELEMENTARY_SWAP:
@@ -198,8 +199,14 @@ def reference_draws(config: TraceConfig) -> tuple[list[Permutation], list[int]]:
 @pytest.mark.parametrize("n_vars", (2, 5, 8, 26))
 def test_generate_keeps_the_reference_draws(kind, n_vars):
     for seed in (0, 1, 7, 2**63 + 5):
-        config = TraceConfig(n_vars, 40, 3, kind, seed=seed)
-        assert generate(config) == build_trace(config, *reference_draws(config))
+        for spacing in (1, 3):
+            config = TraceConfig(n_vars, 40, spacing, kind, seed=seed)
+            drawn, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            expected = build_trace(config, *reference_draws(config, reference))
+            assert generate(config, drawn) == expected
+            # A generator that drew more than the reference would shift
+            # every later draw of a caller that shares it.
+            assert drawn.bit_generator.state == reference.bit_generator.state
 
 
 def test_event_caches_stay_bounded():
