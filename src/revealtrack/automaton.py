@@ -157,8 +157,12 @@ class Symbol:
             t = t.copy()
             t.setflags(write=False)
             object.__setattr__(self, "transition", t)
-        reveal = frozenset(int(q) for q in self.reveal)
-        object.__setattr__(self, "reveal", reveal)
+        reveal = self.reveal
+        # A frozenset of ints is kept as given; checking the element types
+        # costs about a quarter of rebuilding the set.
+        if type(reveal) is not frozenset or not set(map(type, reveal)) <= {int}:
+            reveal = frozenset(int(q) for q in reveal)
+            object.__setattr__(self, "reveal", reveal)
         m = t.shape[0]
         mask = np.zeros(m)
         mask[[q for q in reveal if 0 <= q < m]] = 1.0

@@ -24,6 +24,7 @@ or a recorded input differs from the manifest.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -172,7 +173,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+# The smallest value of each size flag of ``verify``: below it a check
+# either draws from an empty range or checks nothing.
+_VERIFY_MINIMUMS = {"runs": 1, "max_n": 2, "steps": 1, "trace_count": 1}
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
+    for dest, low in _VERIFY_MINIMUMS.items():
+        value = getattr(args, dest)
+        if value < low:
+            flag = "--" + dest.replace("_", "-")
+            raise ValueError(f"verify {flag} must be at least {low}, got {value}")
     results = checks.run_all(
         runs=args.runs,
         max_n=args.max_n,
@@ -247,7 +258,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built once per process: parsing leaves it
+    unchanged, and every call returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="revealtrack",
         description="Probabilistic state tracking with reveals: datasets, decay runs, checks.",

@@ -14,15 +14,19 @@ The two adversarial constructions:
   The reveal replenishes entry (1, 1) but the never-revealed entry (2, 2)
   halves every cycle.
 
-``run_and_report`` replays a scenario and records one row per step. With a
-``FloatGrid`` the reported tracker stores every value rounded to a reduced
-significand with flush-to-zero below the smallest normal magnitude
-2**min_exp; the exact mass is tracked in log space alongside (survivals
-come from a per-step-normalized shadow belief, so the diagnostic outlives
-the tracker). The reported first underflow step is the first step whose
-exact decay quantity (the ell-1 mass for joint runs, the smallest nonzero
-entry for marginal runs) drops below 2**min_exp; the rounded tracker's
-entries hit hard zero around the same point, visible in the row values.
+``run_and_report`` replays a scenario and records one row per step. Its
+loop only steps the trackers and stores each state in a (steps, m) array
+(n*n columns for a marginal run); the ell-1 norm and smallest-nonzero
+columns, and the marginal run's exact floor, come from that stored
+trajectory in one vectorized pass afterwards. With a ``FloatGrid`` the
+reported tracker stores every value rounded to a reduced significand with
+flush-to-zero below the smallest normal magnitude 2**min_exp; the exact
+mass is tracked in log space alongside (survivals come from a
+per-step-normalized shadow belief, so the diagnostic outlives the
+tracker). The reported first underflow step is the first step whose exact
+decay quantity (the ell-1 mass for joint runs, the smallest nonzero entry
+for marginal runs) drops below 2**min_exp; the rounded tracker's entries
+hit hard zero around the same point, visible in the row values.
 """
 
 from __future__ import annotations
@@ -206,26 +210,34 @@ class DecayReport:
             with open(sink, "w", encoding="utf-8") as fh:
                 self.to_csv(fh)
             return
-        sink.write("step,op,l1_norm,survival,min_nonzero,log2_norm\n")
+        lines = ["step,op,l1_norm,survival,min_nonzero,log2_norm\n"]
         for row in self.rows:
-            sink.write(
-                ",".join(
-                    (
-                        str(row.step),
-                        row.op,
-                        repr(row.l1_norm),
-                        "" if row.survival is None else repr(row.survival),
-                        "" if row.min_nonzero is None else repr(row.min_nonzero),
-                        repr(row.log2_norm),
-                    )
-                )
-                + "\n"
-            )
+            surv = "" if row.survival is None else repr(row.survival)
+            floor = "" if row.min_nonzero is None else repr(row.min_nonzero)
+            lines.append(f"{row.step},{row.op},{row.l1_norm!r},{surv},{floor},{row.log2_norm!r}\n")
+        sink.write("".join(lines))
 
 
-def _min_nonzero(x: np.ndarray) -> float | None:
-    positive = x[x > 0]
-    return float(positive.min()) if positive.size else None
+def _min_nonzero(states: np.ndarray) -> np.ndarray:
+    """The smallest positive entry of each row of ``states``; +inf where a
+    row has none."""
+    return np.min(states, axis=1, initial=np.inf, where=states > 0)
+
+
+def _rows(
+    states: np.ndarray,
+    l1_norms: list[float],
+    labels: list[str],
+    survivals: list[float | None],
+    log2_norms: list[float],
+) -> tuple[DecayRow, ...]:
+    """One row per stored state; the floor column comes from ``states``."""
+    floors = _min_nonzero(states).tolist()
+    has_floor = (states > 0).any(axis=1).tolist()
+    floors = [floor if ok else None for floor, ok in zip(floors, has_floor)]
+    return tuple(
+        map(DecayRow, range(1, len(labels) + 1), labels, l1_norms, survivals, floors, log2_norms)
+    )
 
 
 def run_and_report(
@@ -254,63 +266,62 @@ def _run_joint(scenario: JointScenario, grid: FloatGrid | None) -> DecayReport:
     cum_log2 = math.log2(total)
     tracked = grid.round_array(scenario.initial) if grid else scenario.initial
 
-    rows = []
+    states = np.empty((len(scenario.steps), a.m))
+    labels, survivals, log2_norms = [], [], []
     first_underflow = None
-    for step, op in enumerate(scenario.steps, start=1):
+    for index, op in enumerate(scenario.steps):
         if op == RESET:
             # Gated reset: history annihilated, prior injected at full mass.
             tracked = grid.round_array(belief) if grid else belief
             cum_log2 = 0.0
-            label = "reset"
-            surv = None
+            labels.append("reset")
+            survivals.append(None)
         else:
             sym = a.symbols[int(op)]
             surv = survival(a, belief, int(op))
             if surv <= 0.0:
                 raise InconsistentObservationError(
-                    f"step {step}: symbol {sym.name!r} is inconsistent"
+                    f"step {index + 1}: symbol {sym.name!r} is inconsistent"
                 )
             # The shadow belief is normalized by the survival, not by the
             # sum after the transition: the report's bytes depend on it.
             belief = sym.apply(belief) / surv
             tracked = grid.round_array(sym.apply(tracked)) if grid else sym.apply(tracked)
             cum_log2 += math.log2(surv)
-            label = sym.name
-        l1 = float(tracked.sum())
-        rows.append(
-            DecayRow(step, label, l1, surv, _min_nonzero(tracked), cum_log2)
-        )
+            labels.append(sym.name)
+            survivals.append(surv)
+        states[index] = tracked
+        log2_norms.append(cum_log2)
         if grid and first_underflow is None and cum_log2 < grid.min_exp:
-            first_underflow = step
-    return DecayReport(tuple(rows), first_underflow)
+            first_underflow = index + 1
+    rows = _rows(states, states.sum(axis=1).tolist(), labels, survivals, log2_norms)
+    return DecayReport(rows, first_underflow)
 
 
 def _run_marginal(scenario: MarginalScenario, grid: FloatGrid | None) -> DecayReport:
-    h = marginal_init(scenario.n)
-    tracked = grid.round_array(h) if grid else h
+    n, count = scenario.n, len(scenario.steps)
+    h = marginal_init(n)
+    tracked = grid.round_array(h) if grid else None
 
-    rows = []
-    first_underflow = None
-    for step, op in enumerate(scenario.steps, start=1):
+    exact = np.empty((count, n, n))
+    stored = np.empty((count, n, n)) if grid else exact
+    for index, op in enumerate(scenario.steps):
         h = marginal_step(h, op)
-        tracked = grid.round_array(marginal_step(tracked, op)) if grid else h
-        l1 = float(np.abs(tracked).sum())
-        exact_floor = _min_nonzero(h)
-        rows.append(
-            DecayRow(
-                step,
-                op.label,
-                l1,
-                None,
-                _min_nonzero(tracked),
-                math.log2(l1) if l1 > 0 else -math.inf,
-            )
-        )
-        if (
-            grid
-            and first_underflow is None
-            and exact_floor is not None
-            and exact_floor < grid.min_normal
-        ):
-            first_underflow = step
-    return DecayReport(tuple(rows), first_underflow)
+        exact[index] = h
+        if grid:
+            tracked = grid.round_array(marginal_step(tracked, op))
+            stored[index] = tracked
+    exact = exact.reshape(count, n * n)
+    stored = stored.reshape(count, n * n)
+
+    l1_norms = np.abs(stored).sum(axis=1).tolist()
+    log2_norms = [math.log2(l1) if l1 > 0 else -math.inf for l1 in l1_norms]
+    labels = [op.label for op in scenario.steps]
+    rows = _rows(stored, l1_norms, labels, [None] * count, log2_norms)
+
+    first_underflow = None
+    if grid:
+        # Rows without a positive entry have an infinite floor and never count.
+        below = np.flatnonzero(_min_nonzero(exact) < grid.min_normal)
+        first_underflow = int(below[0]) + 1 if below.size else None
+    return DecayReport(rows, first_underflow)

@@ -208,6 +208,22 @@ def test_validate_reports_violations():
     assert any("q0" in msg for msg in validate(Pfsa((Symbol("id", np.eye(2), frozenset({0})),), q0=5)))
 
 
+def test_symbol_keeps_a_frozenset_of_ints():
+    states = frozenset({0, 2})
+    kept = Symbol("kept", np.eye(3), states)
+    assert kept.reveal is states
+    np.testing.assert_array_equal(kept.mask, [1.0, 0.0, 1.0])
+    for given in ({0, 2}, [2, 0], frozenset({np.int64(0), np.int64(2)}), frozenset({0, np.int64(2)})):
+        built = Symbol("kept", np.eye(3), given)
+        assert type(built.reveal) is frozenset
+        assert all(type(q) is int for q in built.reveal)
+        assert built == kept and hash(built) == hash(kept)
+        np.testing.assert_array_equal(built.mask, kept.mask)
+    far = Symbol("far", np.eye(2), frozenset({0, 5}))
+    assert far.reveal == {0, 5}
+    assert any("out of range" in msg for msg in validate(Pfsa((far,), q0=0)))
+
+
 def test_validate_belief():
     assert validate_belief(np.array([0.5, 0.5]), 2) == []
     assert validate_belief(np.array([0.6, 0.5]), 2) != []

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from revealtrack.automaton import write_automaton
-from revealtrack.cli import main
+from revealtrack.cli import build_parser, main
 from revealtrack.scenarios import hidden_swap_automaton
 
 
@@ -239,6 +239,44 @@ def test_verify_small_run(capsys):
 def test_verify_injected_fault(capsys):
     assert main(["verify", "--runs", "5", "--trace-count", "5", "--inject-fault"]) == 1
     assert "FAIL fault-injection-probe" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--runs", "0"), ("--max-n", "1"), ("--steps", "0"), ("--trace-count", "0")],
+)
+def test_verify_rejects_sizes_that_check_nothing(flag, value, capsys):
+    assert main(["verify", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert flag in captured.err
+
+
+def test_parser_is_built_once_and_keeps_each_commands_defaults(tmp_path):
+    parser = build_parser()
+    assert build_parser() is parser
+    for argv, defaults in (
+        (["decay", "--scenario", "dfa"], {"steps": 100, "cycles": 20, "k": 8, "emulate": "none"}),
+        (["verify"], {"steps": 40, "seed": 20260810, "runs": 200}),
+        (["gen-traces"], {"seed": 0, "count": 1000, "spacing": 1}),
+        (["decay", "--scenario", "dfa"], {"steps": 100, "cycles": 20, "k": 8, "emulate": "none"}),
+        (["gen-traces"], {"seed": 0, "count": 1000, "spacing": 1}),
+    ):
+        args = parser.parse_args(argv)
+        assert {key: getattr(args, key) for key in defaults} == defaults, argv
+        assert not hasattr(args, "scenario") or argv[0] == "decay"
+
+    traces, decay = tmp_path / "traces.jsonl", tmp_path / "decay.csv"
+    gen_argv = ["gen-traces", "--count", "2", "--commands", "4", "--out", str(traces)]
+    decay_argv = ["decay", "--scenario", "dfa", "--out", str(decay)]
+    configs = []
+    for argv, out in ((gen_argv, traces), (decay_argv, decay), (gen_argv, traces), (decay_argv, decay)):
+        assert main(argv) == 0
+        configs.append(json.loads(out.with_name(out.name + ".manifest.json").read_text())["config"])
+    assert configs[0] == configs[2] and configs[1] == configs[3]
+    assert (configs[0]["seed"], configs[0]["n_vars"], configs[0]["spacing"]) == (0, 5, 1)
+    assert configs[1] == {"scenario": "dfa", "cycles": 20, "steps": 100, "k": 8, "emulate": "none"}
 
 
 def test_replay_matches_and_detects_tampering(tmp_path):

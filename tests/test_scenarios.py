@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import io
+import math
 
 import numpy as np
 import pytest
 
-from revealtrack.marginal import MixSpec, RevealSpec
+from revealtrack.joint import survival
+from revealtrack.marginal import MixSpec, RevealSpec, marginal_init, marginal_step
 from revealtrack.scenarios import (
     RESET,
+    DecayReport,
+    DecayRow,
     FloatGrid,
+    JointScenario,
     SINGLE_PRECISION,
     adversarial_joint_scenario,
     adversarial_marginal_scenario,
@@ -132,3 +137,127 @@ def test_emulated_rows_match_exact_until_flush():
     emulated = run_and_report(adversarial_joint_scenario(40), SINGLE_PRECISION)
     for row_exact, row_emulated in zip(exact.rows, emulated.rows):
         assert row_exact.l1_norm == row_emulated.l1_norm  # powers of two fit in 24 bits
+
+
+# The per-step report loop that ``run_and_report`` replaced: every column is
+# computed from the state of its own step, and the CSV is written row by row.
+
+
+def _reference_min_nonzero(x):
+    positive = x[x > 0]
+    return float(positive.min()) if positive.size else None
+
+
+def _reference_joint(scenario, grid):
+    a = scenario.automaton
+    total = scenario.initial.sum()
+    belief = scenario.initial / total
+    cum_log2 = math.log2(total)
+    tracked = grid.round_array(scenario.initial) if grid else scenario.initial
+    rows = []
+    first_underflow = None
+    for step, op in enumerate(scenario.steps, start=1):
+        if op == RESET:
+            tracked = grid.round_array(belief) if grid else belief
+            cum_log2 = 0.0
+            label = "reset"
+            surv = None
+        else:
+            sym = a.symbols[int(op)]
+            surv = survival(a, belief, int(op))
+            belief = sym.apply(belief) / surv
+            tracked = grid.round_array(sym.apply(tracked)) if grid else sym.apply(tracked)
+            cum_log2 += math.log2(surv)
+            label = sym.name
+        rows.append(DecayRow(step, label, float(tracked.sum()), surv, _reference_min_nonzero(tracked), cum_log2))
+        if grid and first_underflow is None and cum_log2 < grid.min_exp:
+            first_underflow = step
+    return DecayReport(tuple(rows), first_underflow)
+
+
+def _reference_marginal(scenario, grid):
+    h = marginal_init(scenario.n)
+    tracked = grid.round_array(h) if grid else h
+    rows = []
+    first_underflow = None
+    for step, op in enumerate(scenario.steps, start=1):
+        h = marginal_step(h, op)
+        tracked = grid.round_array(marginal_step(tracked, op)) if grid else h
+        l1 = float(np.abs(tracked).sum())
+        exact_floor = _reference_min_nonzero(h)
+        rows.append(
+            DecayRow(step, op.label, l1, None, _reference_min_nonzero(tracked), math.log2(l1) if l1 > 0 else -math.inf)
+        )
+        if grid and first_underflow is None and exact_floor is not None and exact_floor < grid.min_normal:
+            first_underflow = step
+    return DecayReport(tuple(rows), first_underflow)
+
+
+def _reference_csv(report):
+    sink = io.StringIO()
+    sink.write("step,op,l1_norm,survival,min_nonzero,log2_norm\n")
+    for row in report.rows:
+        fields = (
+            str(row.step),
+            row.op,
+            repr(row.l1_norm),
+            "" if row.survival is None else repr(row.survival),
+            "" if row.min_nonzero is None else repr(row.min_nonzero),
+            repr(row.log2_norm),
+        )
+        sink.write(",".join(fields) + "\n")
+    return sink.getvalue()
+
+
+def _reference_report(scenario, grid):
+    if isinstance(scenario, JointScenario):
+        return _reference_joint(scenario, grid)
+    return _reference_marginal(scenario, grid)
+
+
+COARSE = FloatGrid(sig_bits=8, min_exp=-20)
+GRIDS = {"float64": None, "single": SINGLE_PRECISION, "coarse": COARSE}
+SCENARIOS = {
+    "joint-absorbing": lambda cycles: adversarial_joint_scenario(cycles),
+    "marginal-swap-reveal": lambda cycles: adversarial_marginal_scenario(cycles),
+    "dfa": lambda cycles: dfa_scenario(2 * cycles),
+    "full-reveal-every-k": lambda cycles: adversarial_joint_scenario(cycles, reset_every=8),
+}
+
+
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+@pytest.mark.parametrize("scenario_name", sorted(SCENARIOS))
+def test_report_matches_per_step_reference(scenario_name, grid_name):
+    grid = GRIDS[grid_name]
+    for cycles in (1, 30, 140):
+        scenario = SCENARIOS[scenario_name](cycles)
+        report = run_and_report(scenario, grid)
+        expected = _reference_report(scenario, grid)
+        assert report == expected, (scenario_name, grid_name, cycles)
+        buf = io.StringIO()
+        report.to_csv(buf)
+        assert buf.getvalue() == _reference_csv(expected), (scenario_name, grid_name, cycles)
+
+
+def test_coarse_grid_underflows_within_30_cycles():
+    joint = run_and_report(adversarial_joint_scenario(30), COARSE)
+    marginal = run_and_report(adversarial_marginal_scenario(30), COARSE)
+    assert joint.first_underflow_step == 42  # reveal of cycle 21
+    assert marginal.first_underflow_step == 41  # mix of cycle 21
+    assert joint.rows[-1].l1_norm == 0.0
+    assert joint.rows[-1].min_nonzero is None
+
+
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+@pytest.mark.parametrize(
+    "scenario",
+    [adversarial_joint_scenario(0), adversarial_marginal_scenario(0), dfa_scenario(0)],
+    ids=["joint", "marginal", "dfa"],
+)
+def test_empty_run_reports_header_only(scenario, grid_name):
+    report = run_and_report(scenario, GRIDS[grid_name])
+    assert report.rows == ()
+    assert report.first_underflow_step is None
+    buf = io.StringIO()
+    report.to_csv(buf)
+    assert buf.getvalue() == "step,op,l1_norm,survival,min_nonzero,log2_norm\n"
