@@ -25,7 +25,6 @@ from .automaton import (
     one_hot,
     random_automaton,
     read_automaton,
-    reveal_mask,
     reveal_only,
     sample_trajectory,
     transition_only,
@@ -45,7 +44,6 @@ from .joint import (
     JointLinearState,
     MassUnderflowError,
     arrangement_automaton,
-    arrangement_states,
     gated_reset,
     joint_decode,
     joint_init,

@@ -164,8 +164,12 @@ class Symbol:
             reveal = frozenset(int(q) for q in reveal)
             object.__setattr__(self, "reveal", reveal)
         m = t.shape[0]
+        try:
+            index = np.fromiter(reveal, np.intp, len(reveal))
+        except OverflowError:  # an index past intp is out of range too
+            index = np.fromiter((q for q in reveal if 0 <= q < m), np.intp)
         mask = np.zeros(m)
-        mask[[q for q in reveal if 0 <= q < m]] = 1.0
+        mask[index[(index >= 0) & (index < m)]] = 1.0
         mask.setflags(write=False)
         object.__setattr__(self, "mask", mask)
         if not _NAME_RE.match(self.name):
@@ -233,11 +237,6 @@ class Pfsa:
             if s.name == name:
                 return i
         raise KeyError(name)
-
-
-def reveal_mask(a: Pfsa, symbol: int) -> np.ndarray:
-    """Diagonal of the reveal matrix as a read-only 0/1 vector of length m."""
-    return a.symbols[symbol].mask
 
 
 def reveal_only(m: int, subset, name: str = "reveal") -> Symbol:

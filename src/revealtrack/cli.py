@@ -11,14 +11,15 @@ Commands:
 - ``replay``: re-run the command recorded in a manifest and confirm the
   regenerated outputs match the recorded digests byte-for-byte.
 
-Every file-producing command writes ``<output>.manifest.json`` next to its
-output, recording the command, the full flag configuration, the seed, the
-package and numpy versions, and a sha256 per output file; ``simulate`` also
-records the sha256 of its input automaton. All randomness descends from the
-single ``--seed`` flag (per-trace seeds are split deterministically), so
-identical manifests regenerate identical bytes. ``numpy``'s random streams
-may change between its versions, so ``replay`` warns when the running numpy
-or a recorded input differs from the manifest.
+The file-producing commands take one path: the parsed flags minus
+``--out`` are the config, ``_RUNNERS`` gives the runner that writes the
+output and returns the summary to print, and ``<output>.manifest.json``
+records the command, the config, the package and numpy versions, and a
+sha256 per output and per input file. ``replay`` calls the same runner on a
+manifest's config. All randomness descends from the single ``--seed`` flag
+(per-trace seeds are split deterministically), so identical manifests
+regenerate identical bytes; ``replay`` warns when the running numpy, whose
+random streams may change between versions, or a recorded input differs.
 """
 
 from __future__ import annotations
@@ -37,8 +38,30 @@ from . import scenarios as sc
 from . import trace as tr
 from .automaton import DeadEndError, belief_trajectory, read_automaton, sample_trajectory, validate
 
-_KIND_FLAGS = {"swap": tr.ELEMENTARY_SWAP, "full": tr.FULL_PERMUTATION}
-_SCENARIOS = ("joint-absorbing", "marginal-swap-reveal", "dfa", "full-reveal-every-k")
+
+class _Table(dict):
+    """A flag's values by name; a name that no flag offers, as a replayed
+    manifest may hold, is a one-line error."""
+
+    def __missing__(self, key):
+        raise ValueError(f"unknown value {key!r}, expected one of {', '.join(self)}")
+
+
+_KIND_FLAGS = {"full": tr.FULL_PERMUTATION, "swap": tr.ELEMENTARY_SWAP}
+_SCENARIOS = _Table({
+    "joint-absorbing": lambda c: sc.adversarial_joint_scenario(c["cycles"]),
+    "marginal-swap-reveal": lambda c: sc.adversarial_marginal_scenario(c["cycles"]),
+    "dfa": lambda c: sc.dfa_scenario(c["steps"]),
+    "full-reveal-every-k": lambda c: sc.adversarial_joint_scenario(c["cycles"], reset_every=c["k"]),
+})
+_GRIDS = _Table(none=None, single=sc.SINGLE_PRECISION)
+
+
+class _KindAction(argparse.Action):
+    """Stores the command kind a ``--kind`` value names, as manifests record it."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        setattr(namespace, self.dest, _KIND_FLAGS[value])
 
 
 def _sha256(path: Path) -> str:
@@ -49,24 +72,7 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out: Path, command: str, config: dict, inputs: dict | None = None) -> Path:
-    """``inputs`` maps a config key that names an input file to its sha256."""
-    manifest = {
-        "artifact": "revealtrack",
-        "version": __version__,
-        "numpy": np.__version__,
-        "command": command,
-        "config": config,
-        "outputs": {out.name: _sha256(out)},
-    }
-    if inputs:
-        manifest["inputs"] = inputs
-    path = out.with_name(out.name + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
-
-
-def _run_gen_traces(config: dict, out: Path) -> None:
+def _run_gen_traces(config: dict, out: Path) -> str:
     if config["curriculum"]:
         batches = tr.curriculum(
             stage_samples=config["stage_samples"],
@@ -86,67 +92,21 @@ def _run_gen_traces(config: dict, out: Path) -> None:
             for index in range(config["count"])
         ]
     count = tr.export_dataset((tr.generate(c) for c in configs), out)
-    print(f"wrote {count} records to {out}")
+    return f"wrote {count} records to {out}"
 
 
-def _cmd_gen_traces(args: argparse.Namespace) -> int:
-    config = {
-        "curriculum": args.curriculum,
-        "stage_samples": args.stage_samples,
-        "n_vars": args.n_vars,
-        "commands": args.commands,
-        "spacing": args.spacing,
-        "kind": _KIND_FLAGS[args.kind],
-        "count": args.count,
-        "seed": args.seed,
-    }
-    out = Path(args.out)
-    _run_gen_traces(config, out)
-    _write_manifest(out, "gen-traces", config)
-    return 0
-
-
-def _build_scenario(config: dict):
-    name = config["scenario"]
-    if name == "joint-absorbing":
-        return sc.adversarial_joint_scenario(config["cycles"])
-    if name == "marginal-swap-reveal":
-        return sc.adversarial_marginal_scenario(config["cycles"])
-    if name == "dfa":
-        return sc.dfa_scenario(config["steps"])
-    if name == "full-reveal-every-k":
-        return sc.adversarial_joint_scenario(config["cycles"], reset_every=config["k"])
-    raise ValueError(f"unknown scenario {name!r}")
-
-
-def _run_decay(config: dict, out: Path) -> sc.DecayReport:
-    grid = sc.SINGLE_PRECISION if config["emulate"] == "single" else None
-    report = sc.run_and_report(_build_scenario(config), grid)
+def _run_decay(config: dict, out: Path) -> str:
+    grid = _GRIDS[config["emulate"]]
+    report = sc.run_and_report(_SCENARIOS[config["scenario"]](config), grid)
     report.to_csv(out)
-    return report
+    summary = f"wrote {len(report.rows)} steps to {out}"
+    if grid is None:
+        return summary
+    step = report.first_underflow_step
+    return summary + ("\nno underflow" if step is None else f"\nfirst underflow at step {step}")
 
 
-def _cmd_decay(args: argparse.Namespace) -> int:
-    config = {
-        "scenario": args.scenario,
-        "cycles": args.cycles,
-        "steps": args.steps,
-        "k": args.k,
-        "emulate": args.emulate,
-    }
-    out = Path(args.out)
-    report = _run_decay(config, out)
-    print(f"wrote {len(report.rows)} steps to {out}")
-    if config["emulate"] != "none":
-        if report.first_underflow_step is None:
-            print("no underflow")
-        else:
-            print(f"first underflow at step {report.first_underflow_step}")
-    _write_manifest(out, "decay", config)
-    return 0
-
-
-def _run_simulate(config: dict, out: Path) -> None:
+def _run_simulate(config: dict, out: Path) -> str:
     automaton = read_automaton(config["automaton"])
     problems = validate(automaton)
     if problems:
@@ -161,15 +121,39 @@ def _run_simulate(config: dict, out: Path) -> None:
             symbol = "" if t == 0 else automaton.symbols[trajectory.symbols[t - 1]].name
             row = ",".join(repr(float(v)) for v in beliefs[t])
             fh.write(f"{t},{symbol},{trajectory.states[t]},{row}\n")
+    return f"wrote {config['steps']} steps to {out}"
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = {"automaton": str(args.automaton), "steps": args.steps, "seed": args.seed}
-    out = Path(args.out)
-    inputs = {"automaton": _sha256(Path(config["automaton"]))}
-    _run_simulate(config, out)
-    print(f"wrote {config['steps']} steps to {out}")
-    _write_manifest(out, "simulate", config, inputs)
+# Each file-producing command: its runner and the config keys naming input files.
+_RUNNERS = {
+    "gen-traces": (_run_gen_traces, ()),
+    "decay": (_run_decay, ()),
+    "simulate": (_run_simulate, ("automaton",)),
+}
+
+
+def _flags(args: argparse.Namespace) -> dict:
+    """The parsed flags by dest, without the command and its handler."""
+    return {key: value for key, value in vars(args).items() if key not in ("command", "func")}
+
+
+def _cmd_produce(args: argparse.Namespace) -> int:
+    config = _flags(args)
+    out = Path(config.pop("out"))
+    run, input_keys = _RUNNERS[args.command]
+    manifest = {
+        "artifact": "revealtrack",
+        "version": __version__,
+        "numpy": np.__version__,
+        "command": args.command,
+        "config": config,
+    }
+    if input_keys:
+        manifest["inputs"] = {key: _sha256(Path(config[key])) for key in input_keys}
+    print(run(config, out))
+    manifest["outputs"] = {out.name: _sha256(out)}
+    path = out.with_name(out.name + ".manifest.json")
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 
 
@@ -179,33 +163,17 @@ _VERIFY_MINIMUMS = {"runs": 1, "max_n": 2, "steps": 1, "trace_count": 1}
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    flags = _flags(args)
     for dest, low in _VERIFY_MINIMUMS.items():
-        value = getattr(args, dest)
-        if value < low:
+        if flags[dest] < low:
             flag = "--" + dest.replace("_", "-")
-            raise ValueError(f"verify {flag} must be at least {low}, got {value}")
-    results = checks.run_all(
-        runs=args.runs,
-        max_n=args.max_n,
-        steps=args.steps,
-        trace_count=args.trace_count,
-        seed=args.seed,
-        inject_fault=args.inject_fault,
-    )
-    failures = 0
+            raise ValueError(f"verify {flag} must be at least {low}, got {flags[dest]}")
+    results = checks.run_all(**flags)
     for result in results:
-        status = "PASS" if result.passed else "FAIL"
-        failures += 0 if result.passed else 1
-        print(f"{status} {result.name}: {result.detail}")
+        print(f"{'PASS' if result.passed else 'FAIL'} {result.name}: {result.detail}")
+    failures = sum(not result.passed for result in results)
     print(f"{len(results) - failures}/{len(results)} checks passed")
     return 0 if failures == 0 else 1
-
-
-_RUNNERS = {
-    "gen-traces": _run_gen_traces,
-    "decay": _run_decay,
-    "simulate": _run_simulate,
-}
 
 
 class _Manifest(dict):
@@ -237,8 +205,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"), object_hook=_Manifest)
     command = manifest["command"]
     if command not in _RUNNERS:
-        print(f"manifest command {command!r} is not replayable", file=sys.stderr)
-        return 2
+        raise ValueError(f"manifest command {command!r} is not replayable")
     outputs, config = manifest["outputs"], manifest["config"]
     if not isinstance(outputs, dict) or not isinstance(config, dict):
         raise ValueError("manifest outputs and config must be JSON objects")
@@ -247,10 +214,11 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         print("warning: replay may not reproduce the outputs: " + "; ".join(changed), file=sys.stderr)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    run, _input_keys = _RUNNERS[command]
     ok = True
     for name, recorded in outputs.items():
         out = out_dir / name
-        _RUNNERS[command](config, out)
+        print(run(config, out))
         fresh = _sha256(out)
         match = "match" if fresh == recorded else "MISMATCH"
         ok = ok and fresh == recorded
@@ -258,11 +226,18 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise, so ``main`` reports them in one line."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command's parser, built once per process: parsing leaves it
     unchanged, and every call returns a fresh namespace."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="revealtrack",
         description="Probabilistic state tracking with reveals: datasets, decay runs, checks.",
     )
@@ -273,29 +248,29 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n-vars", type=int, default=5, help="variables per trace")
     gen.add_argument("--commands", type=int, default=64, help="commands per trace")
     gen.add_argument("--spacing", type=int, default=1, help="reveal after every S-th command")
-    gen.add_argument("--kind", choices=sorted(_KIND_FLAGS), default="full")
+    gen.add_argument("--kind", choices=_KIND_FLAGS, default=tr.FULL_PERMUTATION, action=_KindAction)
     gen.add_argument("--count", type=int, default=1000, help="number of traces")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--curriculum", action="store_true", help="use the four-stage schedule")
     gen.add_argument("--stage-samples", type=int, default=15000, help="traces per curriculum stage")
     gen.add_argument("--out", default="traces.jsonl")
-    gen.set_defaults(func=_cmd_gen_traces)
+    gen.set_defaults(func=_cmd_produce)
 
     decay = sub.add_parser("decay", help="run a decay scenario and write the CSV report")
     decay.add_argument("--scenario", choices=_SCENARIOS, required=True)
     decay.add_argument("--cycles", type=int, default=20)
     decay.add_argument("--steps", type=int, default=100, help="steps for the dfa scenario")
     decay.add_argument("--k", type=int, default=8, help="reset cadence in cycles")
-    decay.add_argument("--emulate", choices=("none", "single"), default="none")
+    decay.add_argument("--emulate", choices=_GRIDS, default="none")
     decay.add_argument("--out", default="decay.csv")
-    decay.set_defaults(func=_cmd_decay)
+    decay.set_defaults(func=_cmd_produce)
 
     simulate = sub.add_parser("simulate", help="sample a trajectory and log exact beliefs")
     simulate.add_argument("--automaton", required=True, help="automaton document path")
     simulate.add_argument("--steps", type=int, default=10)
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument("--out", default="simulate.csv")
-    simulate.set_defaults(func=_cmd_simulate)
+    simulate.set_defaults(func=_cmd_produce)
 
     verify = sub.add_parser("verify", help="run the self-check suite")
     verify.add_argument("--runs", type=int, default=200)
@@ -315,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError, DeadEndError) as exc:
         print(f"error: {exc}", file=sys.stderr)

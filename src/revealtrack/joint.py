@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .automaton import PermutationMixture, Pfsa, Symbol
-from .perm import Permutation, lex_index, lex_indices, one_line_table, symmetric_group
+from .perm import Permutation, lex_index, lex_indices, one_line_table
 
 
 class MassUnderflowError(ArithmeticError):
@@ -114,11 +114,6 @@ def gated_reset(state: JointLinearState, prior: np.ndarray) -> JointLinearState:
     reveal; with a uniform prior it re-inflates the tracker to full mass.
     """
     return joint_init(np.asarray(prior, dtype=float))
-
-
-def arrangement_states(n: int) -> tuple[Permutation, ...]:
-    """The lex-ordered arrangement encoding used by all joint automata here."""
-    return symmetric_group(n)
 
 
 # For every arrangement c of the one-line table, the arrangement that the

@@ -70,10 +70,6 @@ class MixSpec:
     def n(self) -> int:
         return self.components[0][0].n
 
-    def realized(self) -> np.ndarray:
-        """The doubly stochastic matrix P_s = sum_i c_i P_i (read-only)."""
-        return self.matrix
-
 
 @dataclass(frozen=True)
 class RevealSpec:

@@ -23,7 +23,6 @@ from revealtrack.automaton import (
     one_hot,
     random_automaton,
     read_automaton,
-    reveal_mask,
     reveal_only,
     sample_trajectory,
     sample_transition,
@@ -118,7 +117,7 @@ def test_belief_update_preserves_simplex():
         b = rng.dirichlet(np.ones(m))
         options = [
             s for s in range(a.alphabet_size)
-            if (reveal_mask(a, s) * b).sum() > 0
+            if (a.symbols[s].mask * b).sum() > 0
         ]
         sym = options[int(rng.integers(len(options)))]
         out = belief_update(a, b, sym)
@@ -222,6 +221,11 @@ def test_symbol_keeps_a_frozenset_of_ints():
     far = Symbol("far", np.eye(2), frozenset({0, 5}))
     assert far.reveal == {0, 5}
     assert any("out of range" in msg for msg in validate(Pfsa((far,), q0=0)))
+    # Out-of-range indices stay out of the mask; an unfiltered index -1
+    # would set the last entry.
+    np.testing.assert_array_equal(far.mask, [1.0, 0.0])
+    for reveal in (frozenset({-1}), frozenset(), frozenset({10**30})):
+        np.testing.assert_array_equal(Symbol("off", np.eye(2), reveal).mask, [0.0, 0.0])
 
 
 def test_validate_belief():
@@ -309,7 +313,7 @@ def test_special_symbol_builders():
     assert np.array_equal(vacuous.transition, np.eye(3))
     stepper = transition_only(3, np.eye(3)[[1, 2, 0]])
     assert stepper.reveal == frozenset({0, 1, 2})
-    assert np.array_equal(reveal_mask(Pfsa((stepper,), q0=0), 0), np.ones(3))
+    assert np.array_equal(stepper.mask, np.ones(3))
     with pytest.raises(ValueError):
         reveal_only(3, set())
     with pytest.raises(ValueError):

@@ -172,9 +172,155 @@ def test_verify_default_output(capsys):
     assert capsys.readouterr().out == VERIFY_STDOUT
 
 
-def test_decay_rejects_unknown_scenario(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["decay", "--scenario", "nonsense", "--out", str(tmp_path / "x.csv")])
+# The surface of the file-producing commands, recorded under numpy 2.4.6
+# with relative paths: each command's stdout and its manifest text. The
+# manifest config is every flag but --out.
+SURFACE = (
+    (
+        SWAP_ARGV + " --out swap.jsonl",
+        "wrote 20 records to swap.jsonl\n",
+        """\
+{
+  "artifact": "revealtrack",
+  "command": "gen-traces",
+  "config": {
+    "commands": 64,
+    "count": 20,
+    "curriculum": false,
+    "kind": "elementary_swap",
+    "n_vars": 5,
+    "seed": 7,
+    "spacing": 8,
+    "stage_samples": 15000
+  },
+  "numpy": "2.4.6",
+  "outputs": {
+    "swap.jsonl": "b3433a6d9b784863b7cd7cb7f994a44ac56b0ae0fd756e13bfc3f871676c6ac5"
+  },
+  "version": "0.1.0"
+}
+""",
+    ),
+    (
+        "gen-traces --curriculum --stage-samples 2 --seed 5 --out curriculum.jsonl",
+        "wrote 8 records to curriculum.jsonl\n",
+        """\
+{
+  "artifact": "revealtrack",
+  "command": "gen-traces",
+  "config": {
+    "commands": 64,
+    "count": 1000,
+    "curriculum": true,
+    "kind": "full_permutation",
+    "n_vars": 5,
+    "seed": 5,
+    "spacing": 1,
+    "stage_samples": 2
+  },
+  "numpy": "2.4.6",
+  "outputs": {
+    "curriculum.jsonl": "8205ad4f77e2ec93957dd5f51ea3dfbbd276400c3a766d281800079765a7923c"
+  },
+  "version": "0.1.0"
+}
+""",
+    ),
+    (
+        "decay --scenario full-reveal-every-k --cycles 40 --k 4 --emulate single --out resets.csv",
+        "wrote 90 steps to resets.csv\nno underflow\n",
+        """\
+{
+  "artifact": "revealtrack",
+  "command": "decay",
+  "config": {
+    "cycles": 40,
+    "emulate": "single",
+    "k": 4,
+    "scenario": "full-reveal-every-k",
+    "steps": 100
+  },
+  "numpy": "2.4.6",
+  "outputs": {
+    "resets.csv": "115f8efd1a029e11498082a3662b08691b185fb505d7330d0049d152c034848c"
+  },
+  "version": "0.1.0"
+}
+""",
+    ),
+    (
+        "simulate --automaton hidden.pfsa --steps 4 --seed 6 --out sim.csv",
+        "wrote 4 steps to sim.csv\n",
+        """\
+{
+  "artifact": "revealtrack",
+  "command": "simulate",
+  "config": {
+    "automaton": "hidden.pfsa",
+    "seed": 6,
+    "steps": 4
+  },
+  "inputs": {
+    "automaton": "f88ee950a36d02c494a453d13a322dac0be93e143a5e9674e28b5aa9e238553d"
+  },
+  "numpy": "2.4.6",
+  "outputs": {
+    "sim.csv": "65fa281c2e040e67544f386a31a870d53535c018e60b6999c1c5fdb078657ed1"
+  },
+  "version": "0.1.0"
+}
+""",
+    ),
+)
+
+
+def test_produce_stdout_and_manifests_match_recorded(tmp_path, monkeypatch, capsys):
+    _needs_recorded_numpy()
+    monkeypatch.chdir(tmp_path)
+    write_automaton(hidden_swap_automaton(), "hidden.pfsa")
+    for argv, stdout, manifest in SURFACE:
+        assert main(argv.split()) == 0, argv
+        assert capsys.readouterr().out == stdout, argv
+        assert Path(argv.split()[-1] + ".manifest.json").read_text() == manifest, argv
+
+
+def test_replay_prints_each_runners_summary(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_automaton(hidden_swap_automaton(), "hidden.pfsa")
+    for argv, summary in (
+        (
+            "decay --scenario full-reveal-every-k --cycles 40 --k 4 --emulate single --out resets.csv",
+            f"wrote 90 steps to {Path('again', 'resets.csv')}\nno underflow\n",
+        ),
+        (
+            "simulate --automaton hidden.pfsa --steps 4 --seed 6 --out sim.csv",
+            f"wrote 4 steps to {Path('again', 'sim.csv')}\n",
+        ),
+    ):
+        out = argv.split()[-1]
+        assert main(argv.split()) == 0
+        capsys.readouterr()
+        assert main(["replay", "--manifest", out + ".manifest.json", "--out-dir", "again"]) == 0
+        printed = capsys.readouterr().out
+        assert printed.startswith(summary), printed
+        digest_line = printed[len(summary):]
+        assert digest_line.startswith(f"{out}: recorded ") and digest_line.endswith(" -> match\n")
+        assert digest_line.count("\n") == 1
+
+
+def test_decay_rejects_unknown_scenario(tmp_path, capsys):
+    # Every usage error, the unknown scenario among them, is one error line.
+    for argv in (
+        ["decay", "--scenario", "nonsense", "--out", str(tmp_path / "x.csv")],
+        ["decay", "--out", str(tmp_path / "x.csv")],
+        ["verify", "--runs", "abc"],
+        ["nonsense"],
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("error: revealtrack") and captured.err.count("\n") == 1, argv
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_simulate_belief_log(tmp_path):
@@ -371,6 +517,20 @@ def test_replay_incomplete_manifest_is_one_line_error(tmp_path, capsys, drop):
     ]) == 2
     err = capsys.readouterr().err
     assert err == f"error: manifest lacks key {drop!r}\n"
+
+
+@pytest.mark.parametrize("key", ("scenario", "emulate"))
+def test_replay_unknown_flag_value_is_one_line_error(tmp_path, capsys, key):
+    out = tmp_path / "joint.csv"
+    assert main(["decay", "--scenario", "joint-absorbing", "--cycles", "2", "--out", str(out)]) == 0
+    manifest_path = tmp_path / "joint.csv.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"][key] = "nonsense"
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["replay", "--manifest", str(manifest_path), "--out-dir", str(tmp_path / "again")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown value 'nonsense'") and err.count("\n") == 1
 
 
 def test_replay_manifest_fields_must_be_objects(tmp_path, capsys):
