@@ -15,8 +15,9 @@ The file-producing commands take one path: the parsed flags minus
 ``--out`` are the config, ``_RUNNERS`` gives the runner that writes the
 output and returns the summary to print, and ``<output>.manifest.json``
 records the command, the config, the package and numpy versions, and a
-sha256 per output and per input file. ``replay`` calls the same runner on a
-manifest's config. All randomness descends from the single ``--seed`` flag
+sha256 per output and per input file. ``replay`` checks each recorded
+value against the type its flag parses to, then calls the same runner on
+the manifest's config. All randomness descends from the single ``--seed`` flag
 (per-trace seeds are split deterministically), so identical manifests
 regenerate identical bytes; ``replay`` warns when the running numpy, whose
 random streams may change between versions, or a recorded input differs.
@@ -81,6 +82,8 @@ def _run_gen_traces(config: dict, out: Path) -> str:
         )
         configs = [c for batch in batches for c in batch]
     else:
+        if config["count"] < 1:
+            raise ValueError(f"gen-traces --count must be at least 1, got {config['count']}")
         configs = [
             tr.TraceConfig(
                 n_vars=config["n_vars"],
@@ -201,14 +204,35 @@ def _replay_conditions(manifest: dict, config: dict) -> list[str]:
     return changed
 
 
+def _check_config(command: str, config: dict) -> None:
+    """Each recorded value must have the type its flag parses to: an int
+    flag takes an int that is not a bool, a ``store_true`` flag a bool, and
+    every other flag (a table name or a path) a string."""
+    for action in build_parser().commands[command]._actions:
+        if action.dest not in config:
+            continue
+        value = config[action.dest]
+        if action.type is int:
+            ok, expected = type(value) is int, "an integer"
+        elif action.nargs == 0:
+            ok, expected = type(value) is bool, "true or false"
+        else:
+            ok, expected = isinstance(value, str), "a string"
+        if not ok:
+            raise ValueError(f"manifest config {action.dest!r} must be {expected}, got {json.dumps(value)}")
+
+
 def _cmd_replay(args: argparse.Namespace) -> int:
     manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"), object_hook=_Manifest)
     command = manifest["command"]
-    if command not in _RUNNERS:
+    if not isinstance(command, str) or command not in _RUNNERS:
         raise ValueError(f"manifest command {command!r} is not replayable")
     outputs, config = manifest["outputs"], manifest["config"]
     if not isinstance(outputs, dict) or not isinstance(config, dict):
         raise ValueError("manifest outputs and config must be JSON objects")
+    if not all(isinstance(digest, str) for digest in outputs.values()):
+        raise ValueError("manifest outputs must map each file name to a digest string")
+    _check_config(command, config)
     changed = _replay_conditions(manifest, config)
     if changed:
         print("warning: replay may not reproduce the outputs: " + "; ".join(changed), file=sys.stderr)
@@ -227,7 +251,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser whose usage errors raise, so ``main`` reports them in one line."""
+    """A parser whose usage errors raise, so ``main`` reports them in one
+    line; ``commands`` maps each command name to its subparser."""
+
+    commands: dict[str, argparse.ArgumentParser]
 
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")
@@ -243,6 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"revealtrack {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     gen = sub.add_parser("gen-traces", help="generate a transcript dataset (JSONL)")
     gen.add_argument("--n-vars", type=int, default=5, help="variables per trace")

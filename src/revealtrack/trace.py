@@ -23,7 +23,10 @@ Randomness: all sampling runs off ``numpy.random.default_rng(config.seed)``
 in a fixed draw order, so a config regenerates its trace byte-for-byte. A
 full-permutation slot draws ``rng.permutation(n)``, again while it is the
 identity (which carries no signal), then ``rng.integers(n)`` for the
-revealed variable if the slot ends a reveal window. A swap slot draws
+revealed variable if the slot ends a reveal window. A trace takes each
+window's permutations in one ``rng.permuted`` call over rows of
+``arange(n)``, whose rows are successive ``rng.permutation(n)`` draws, and
+draws again only for the identity rows it drops. A swap slot draws
 integers on [0, n-2] (none when n = 2), [0, n-1] and [0, 1], then one on
 [0, n-1] if it ends a reveal window; a trace takes them all in one
 ``rng.integers`` call. These are the draws of a per-slot
@@ -268,19 +271,40 @@ def build_trace(
     return _session(config, events, [operator.index(var) for var in reveal_vars])
 
 
+@lru_cache(maxsize=64)
+def _identity_rows(n: int, rows: int) -> np.ndarray:
+    """``rows`` copies of ``arange(n)``, read-only; ``rng.permuted`` copies it."""
+    tile = np.tile(np.arange(n), (rows, 1))
+    tile.flags.writeable = False
+    return tile
+
+
 def _full_commands(
     config: TraceConfig, rng: np.random.Generator
 ) -> tuple[list[TraceEvent], list[int]]:
-    n = config.n_vars
-    identity = tuple(range(n))
+    """The draws of ``rng.permutation(n)`` per slot, redrawn while it is the
+    identity, and of ``rng.integers(n)`` after each reveal window.
+
+    Row r of ``rng.permuted`` over k rows of ``arange(n)`` along axis 1 is
+    the r-th of k successive ``rng.permutation(n)`` draws, and the generator
+    ends in the same state (numpy 2.4.6; ``tests/test_trace.py`` compares
+    with the per-slot loop under any version). An identity redraw is just
+    the next draw, so a window takes its commands in one call, drops the
+    identity rows and draws again for as many rows as it is short.
+    """
+    n, spacing = config.n_vars, config.reveal_spacing
+    identity = list(range(n))
+    tile = _identity_rows(n, min(spacing, config.n_commands))
     commands: list[TraceEvent] = []
     reveal_vars: list[int] = []
-    for slot in range(1, config.n_commands + 1):
-        mapping = identity
-        while mapping == identity:
-            mapping = tuple(rng.permutation(n).tolist())
-        commands.append(_full_command(mapping))
-        if slot % config.reveal_spacing == 0:
+    for start in range(0, config.n_commands, spacing):
+        size = short = min(spacing, config.n_commands - start)
+        while short:
+            rows = rng.permuted(tile[:short], axis=1).tolist()
+            drawn = [_full_command(tuple(row)) for row in rows if row != identity]
+            commands += drawn
+            short -= len(drawn)
+        if size == spacing:
             reveal_vars.append(int(rng.integers(n)))
     return commands, reveal_vars
 

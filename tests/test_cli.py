@@ -166,6 +166,19 @@ def test_gen_traces_swap_digest(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SWAP_DIGEST
 
 
+# At n = 2 half of all permutation draws are the identity and are drawn
+# again, and 37 commands at spacing 5 leave a last window without a reveal.
+FULL_REDRAW_ARGV = "gen-traces --n-vars 2 --commands 37 --spacing 5 --kind full --count 50 --seed 3"
+FULL_REDRAW_DIGEST = "d6681725a0da028f096613018f610c67cf39540a9a9059d81b83ad8a96a089b6"
+
+
+def test_gen_traces_full_redraw_digest(tmp_path):
+    _needs_recorded_numpy()
+    out = tmp_path / "full.jsonl"
+    assert main(FULL_REDRAW_ARGV.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FULL_REDRAW_DIGEST
+
+
 def test_verify_default_output(capsys):
     _needs_recorded_numpy()
     assert main(["verify"]) == 0
@@ -382,6 +395,16 @@ def test_verify_small_run(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("count", ("0", "-3"))
+def test_gen_traces_rejects_count_below_one(tmp_path, capsys, count):
+    out = tmp_path / "traces.jsonl"
+    assert main(["gen-traces", "--count", count, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: gen-traces --count must be at least 1, got {count}\n"
+    assert not out.exists()
+
+
 def test_verify_injected_fault(capsys):
     assert main(["verify", "--runs", "5", "--trace-count", "5", "--inject-fault"]) == 1
     assert "FAIL fault-injection-probe" in capsys.readouterr().out
@@ -539,3 +562,45 @@ def test_replay_manifest_fields_must_be_objects(tmp_path, capsys):
     assert main(["replay", "--manifest", str(manifest_path), "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err == "error: manifest outputs and config must be JSON objects\n"
+
+
+def _replay_edited(tmp_path, capsys, argv, edit):
+    """The exit code and standard error of replaying the manifest that
+    ``argv`` writes, after ``edit`` has changed it."""
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    manifest_path = tmp_path / "out.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    edit(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    code = main(["replay", "--manifest", str(manifest_path), "--out-dir", str(tmp_path / "again")])
+    return code, capsys.readouterr().err
+
+
+DECAY_ARGV = ["decay", "--scenario", "joint-absorbing", "--cycles", "2"]
+GEN_ARGV = ["gen-traces", "--curriculum", "--stage-samples", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, key, value, message",
+    [
+        (DECAY_ARGV, "cycles", "40", "'cycles' must be an integer, got \"40\""),
+        (DECAY_ARGV, "cycles", 40.0, "'cycles' must be an integer, got 40.0"),
+        (DECAY_ARGV, "cycles", True, "'cycles' must be an integer, got true"),
+        (DECAY_ARGV, "emulate", 1, "'emulate' must be a string, got 1"),
+        (GEN_ARGV, "curriculum", "yes", "'curriculum' must be true or false, got \"yes\""),
+    ],
+    ids=["int-as-string", "int-as-float", "int-as-bool", "table-as-int", "bool-as-string"],
+)
+def test_replay_checks_each_value_against_its_flag(tmp_path, capsys, argv, key, value, message):
+    code, err = _replay_edited(tmp_path, capsys, argv, lambda m: m["config"].update({key: value}))
+    assert code == 2
+    assert err == f"error: manifest config {message}\n"
+
+
+def test_replay_checks_the_command_and_digests_first(tmp_path, capsys):
+    code, err = _replay_edited(tmp_path, capsys, DECAY_ARGV, lambda m: m.update(command=["decay"]))
+    assert (code, err) == (2, "error: manifest command ['decay'] is not replayable\n")
+    code, err = _replay_edited(tmp_path, capsys, DECAY_ARGV, lambda m: m.update(outputs={"out": 7}))
+    assert (code, err) == (2, "error: manifest outputs must map each file name to a digest string\n")

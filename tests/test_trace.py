@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -207,6 +208,61 @@ def test_generate_keeps_the_reference_draws(kind, n_vars):
             # A generator that drew more than the reference would shift
             # every later draw of a caller that shares it.
             assert drawn.bit_generator.state == reference.bit_generator.state
+
+
+class _CountingGenerator:
+    """Forwards to a real generator, counting the methods called on it and
+    recording the row count of each ``permuted`` call."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.calls: Counter[str] = Counter()
+        self.permuted_rows: list[int] = []
+
+    def __getattr__(self, name):
+        self.calls[name] += 1
+        return getattr(self.rng, name)
+
+    def permuted(self, x, axis=None, out=None):
+        self.calls["permuted"] += 1
+        self.permuted_rows.append(len(x))
+        return self.rng.permuted(x, axis=axis, out=out)
+
+
+def window_rounds(config: TraceConfig, seed: int) -> list[int]:
+    """The rows of each batched draw when a reveal window draws all its
+    commands at once and then, while any came out the identity, as many
+    rows as it is short; read off per-slot ``rng.permutation(n)`` draws."""
+    rng = np.random.default_rng(seed)
+    n, spacing = config.n_vars, config.reveal_spacing
+    rounds = []
+    for start in range(0, config.n_commands, spacing):
+        size = short = min(spacing, config.n_commands - start)
+        while short:
+            rounds.append(short)
+            short -= sum(rng.permutation(n).tolist() != list(range(n)) for _ in range(short))
+        if size == spacing:
+            rng.integers(n)
+    return rounds
+
+
+@pytest.mark.parametrize("spacing", (1, 3, 8, 64))
+@pytest.mark.parametrize("n_vars", (2, 3, 5))
+def test_full_traces_take_one_permuted_call_per_window(n_vars, spacing):
+    # 40 commands: a partial last window at spacing 3, five whole windows at
+    # spacing 8, and one window without a reveal at spacing 64.
+    windows = -(-40 // spacing)
+    for seed in (0, 5, 2**63 + 5):
+        config = TraceConfig(n_vars, 40, spacing, FULL_PERMUTATION, seed=seed)
+        drawn, reference = _CountingGenerator(np.random.default_rng(seed)), np.random.default_rng(seed)
+        assert generate(config, drawn) == build_trace(config, *reference_draws(config, reference))
+        assert drawn.rng.bit_generator.state == reference.bit_generator.state
+        assert drawn.calls["permutation"] == 0
+        assert drawn.calls["integers"] == config.n_reveals
+        rounds = window_rounds(config, seed)
+        assert drawn.permuted_rows == rounds
+        # Half of S_2 is the identity, so some window at n = 2 always redraws.
+        assert len(rounds) > windows if n_vars == 2 else len(rounds) >= windows
 
 
 def test_event_caches_stay_bounded():
