@@ -71,6 +71,7 @@ from .marginal import (
 from .perm import (
     Permutation,
     apply,
+    check_mixture,
     compose,
     format_permutation,
     identity,

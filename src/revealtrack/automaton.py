@@ -32,7 +32,6 @@ import math
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -59,8 +58,8 @@ class PermutationMixture:
     for each state i, the state P_g moves to i, so
     ``(P_g @ v)[i] = v[sources[g, i]]``.
 
-    ``T @ v`` sums the k gathers in component order. ``np.asarray`` builds
-    the dense matrix, and iterating yields its rows one at a time.
+    ``T @ v`` sums the k gathers in component order, and ``np.asarray``
+    builds the dense matrix.
     """
 
     # Keeps numpy operators from densifying the kernel behind its back:
@@ -105,12 +104,6 @@ class PermutationMixture:
         for w, src in self._terms:
             col[src == j] += w
         return col
-
-    def __iter__(self):
-        for i in range(self.shape[0]):
-            row = np.zeros(self.shape[1])
-            np.add.at(row, self.sources[:, i], self.weights)
-            yield row
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         m = self.shape[0]
@@ -360,14 +353,6 @@ def belief_trajectory(a: Pfsa, symbols, b0: np.ndarray | None = None) -> np.ndar
     return np.array(rows)
 
 
-# Environment policy: given (state, consistent symbol indices, rng) pick one.
-Policy = Callable[[int, np.ndarray, np.random.Generator], int]
-
-
-def uniform_policy(state: int, consistent: np.ndarray, rng: np.random.Generator) -> int:
-    return int(consistent[rng.integers(len(consistent))])
-
-
 def consistent_symbols(a: Pfsa, state: int) -> np.ndarray:
     return np.array([i for i, s in enumerate(a.symbols) if state in s.reveal], dtype=int)
 
@@ -394,28 +379,18 @@ def _draw_next(support: np.ndarray, cdf: np.ndarray, rng: np.random.Generator) -
     return int(support[min(k, len(support) - 1)])
 
 
-def sample_transition(a: Pfsa, symbol: int, state: int, rng: np.random.Generator) -> int:
-    """Draw the next state from column ``state`` of the symbol's kernel."""
-    return _draw_next(*_column_cdf(a, symbol, state), rng)
-
-
 @dataclass(frozen=True)
 class Trajectory:
     states: tuple[int, ...]   # q_0 .. q_T
     symbols: tuple[int, ...]  # sigma_1 .. sigma_T
 
 
-def sample_trajectory(
-    a: Pfsa,
-    steps: int,
-    rng: np.random.Generator,
-    policy: Policy = uniform_policy,
-) -> Trajectory:
+def sample_trajectory(a: Pfsa, steps: int, rng: np.random.Generator) -> Trajectory:
     """Simulate the environment for ``steps`` symbols.
 
-    At each step the environment, which sees the true state, picks a symbol
-    whose reveal set contains that state (the consistency constraint) via
-    ``policy``, then the state moves through the symbol's kernel. Raises
+    At each step the environment, which sees the true state, picks uniformly
+    among the symbols whose reveal set contains that state (the consistency
+    constraint), then the state moves through the symbol's kernel. Raises
     DeadEndError if no symbol is consistent with the current state.
     """
     q = a.q0
@@ -431,9 +406,7 @@ def sample_trajectory(
             options = options_at[q] = consistent_symbols(a, q)
         if len(options) == 0:
             raise DeadEndError(f"state {q} at step {t} admits no consistent symbol")
-        s = policy(q, options, rng)
-        if q not in a.symbols[s].reveal:
-            raise DeadEndError(f"policy chose inconsistent symbol {s} in state {q}")
+        s = int(options[rng.integers(len(options))])
         column = columns.get((s, q))
         if column is None:
             column = columns[s, q] = _column_cdf(a, s, q)
@@ -516,7 +489,7 @@ def write_automaton(a: Pfsa, sink) -> None:
         sink.write(f"symbol {sym.name}\n")
         sink.write(("reveal " + " ".join(str(q) for q in sorted(sym.reveal))).rstrip() + "\n")
         sink.write("T\n")
-        for row in sym.transition:
+        for row in np.asarray(sym.transition):
             sink.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 

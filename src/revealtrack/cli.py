@@ -16,11 +16,12 @@ The file-producing commands take one path: the parsed flags minus
 output and returns the summary to print, and ``<output>.manifest.json``
 records the command, the config, the package and numpy versions, and a
 sha256 per output and per input file. ``replay`` checks each recorded
-value against the type its flag parses to, then calls the same runner on
-the manifest's config. All randomness descends from the single ``--seed`` flag
-(per-trace seeds are split deterministically), so identical manifests
-regenerate identical bytes; ``replay`` warns when the running numpy, whose
-random streams may change between versions, or a recorded input differs.
+value against the type its flag parses to and the flag's minimum, then
+calls the same runner on the manifest's config. All randomness descends
+from the single ``--seed`` flag (per-trace seeds are split
+deterministically), so identical manifests regenerate identical bytes;
+``replay`` warns when the running numpy, whose random streams may change
+between versions, or a recorded input differs.
 """
 
 from __future__ import annotations
@@ -82,8 +83,6 @@ def _run_gen_traces(config: dict, out: Path) -> str:
         )
         configs = [c for batch in batches for c in batch]
     else:
-        if config["count"] < 1:
-            raise ValueError(f"gen-traces --count must be at least 1, got {config['count']}")
         configs = [
             tr.TraceConfig(
                 n_vars=config["n_vars"],
@@ -160,18 +159,27 @@ def _cmd_produce(args: argparse.Namespace) -> int:
     return 0
 
 
-# The smallest value of each size flag of ``verify``: below it a check
-# either draws from an empty range or checks nothing.
-_VERIFY_MINIMUMS = {"runs": 1, "max_n": 2, "steps": 1, "trace_count": 1}
+# The smallest value of each integer flag, by command. Below it a size
+# draws from an empty range or writes and checks nothing, a group or
+# variable count has nothing to permute, and a seed is no seed numpy takes.
+_MINIMUMS = {
+    "gen-traces": {"n_vars": 2, "commands": 1, "spacing": 1, "count": 1, "seed": 0, "stage_samples": 1},
+    "decay": {"cycles": 1, "steps": 1, "k": 1},
+    "simulate": {"steps": 1, "seed": 0},
+    "verify": {"runs": 1, "max_n": 2, "steps": 1, "trace_count": 1, "seed": 0},
+}
+
+
+def _check_minimums(command: str, config: dict) -> None:
+    """Each integer flag that ``config`` holds must be at least its minimum."""
+    for dest, low in _MINIMUMS.get(command, {}).items():
+        if dest in config and config[dest] < low:
+            flag = "--" + dest.replace("_", "-")
+            raise ValueError(f"{command} {flag} must be at least {low}, got {config[dest]}")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    flags = _flags(args)
-    for dest, low in _VERIFY_MINIMUMS.items():
-        if flags[dest] < low:
-            flag = "--" + dest.replace("_", "-")
-            raise ValueError(f"verify {flag} must be at least {low}, got {flags[dest]}")
-    results = checks.run_all(**flags)
+    results = checks.run_all(**_flags(args))
     for result in results:
         print(f"{'PASS' if result.passed else 'FAIL'} {result.name}: {result.detail}")
     failures = sum(not result.passed for result in results)
@@ -207,7 +215,8 @@ def _replay_conditions(manifest: dict, config: dict) -> list[str]:
 def _check_config(command: str, config: dict) -> None:
     """Each recorded value must have the type its flag parses to: an int
     flag takes an int that is not a bool, a ``store_true`` flag a bool, and
-    every other flag (a table name or a path) a string."""
+    every other flag (a table name or a path) a string. An int must then
+    be at least its flag's minimum."""
     for action in build_parser().commands[command]._actions:
         if action.dest not in config:
             continue
@@ -220,6 +229,7 @@ def _check_config(command: str, config: dict) -> None:
             ok, expected = isinstance(value, str), "a string"
         if not ok:
             raise ValueError(f"manifest config {action.dest!r} must be {expected}, got {json.dumps(value)}")
+    _check_minimums(command, config)
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
@@ -320,6 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_minimums(args.command, _flags(args))
         return args.func(args)
     except (ValueError, OSError, DeadEndError) as exc:
         print(f"error: {exc}", file=sys.stderr)

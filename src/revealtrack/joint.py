@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .automaton import PermutationMixture, Pfsa, Symbol
-from .perm import Permutation, lex_index, lex_indices, one_line_table
+from .perm import Permutation, check_mixture, lex_index, lex_indices, one_line_table
 
 
 class MassUnderflowError(ArithmeticError):
@@ -134,16 +134,14 @@ def mixture_symbol(
 ) -> Symbol:
     """Transition-only symbol applying a convex mixture of group elements.
 
-    ``action`` is "position" or "element" (see module docstring). Weights
-    must be nonnegative and sum to 1.
+    ``action`` is "position" or "element" (see module docstring). The
+    components must pass ``perm.check_mixture`` and act on ``n`` items.
     """
     if action not in _PULLBACKS:
         raise KeyError(action)
-    weights = np.array([w for _, w in components], dtype=float)
-    if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-12):
-        raise ValueError(f"weights {weights} are not a distribution")
-    if any(g.n != n for g, _ in components):
-        raise ValueError(f"mixture components do not all act on {n} items")
+    size, weights = check_mixture(components)
+    if size != n:
+        raise ValueError(f"mixture components act on {size} items, expected {n}")
     sources = [_gather(action, g.mapping) for g, _ in components]
     return Symbol(name, PermutationMixture(sources, weights), _all_states(math.factorial(n)))
 

@@ -31,7 +31,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .perm import Permutation, one_line_table, to_matrix
+from .perm import Permutation, check_mixture, one_line_table, to_matrix
 
 
 class NoSupportError(ValueError):
@@ -49,17 +49,7 @@ class MixSpec:
     matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.components:
-            raise ValueError("mixture needs at least one component")
-        weights = np.array([w for _, w in self.components], dtype=float)
-        if not np.all(np.isfinite(weights)):
-            raise ValueError(f"weights {weights} are not finite")
-        if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError(f"weights {weights} are not a distribution")
-        sizes = {p.n for p, _ in self.components}
-        if len(sizes) != 1:
-            raise ValueError("mixture components act on different sizes")
-        n = sizes.pop()
+        n, _weights = check_mixture(self.components)
         out = np.zeros((n, n))
         for p, w in self.components:
             out += w * to_matrix(p)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -108,6 +109,27 @@ def sample_uniform(n: int, rng: np.random.Generator) -> Permutation:
     return Permutation(tuple(int(v) for v in rng.permutation(n)))
 
 
+def check_mixture(components: Sequence[tuple[Permutation, float]]) -> tuple[int, np.ndarray]:
+    """The size and the weights of a convex mixture of group elements given
+    as ``(Permutation, weight)`` pairs.
+
+    Raises ValueError unless the mixture is nonempty, its weights are
+    finite, nonnegative and sum to 1 within 1e-12, and every component acts
+    on the same number of items.
+    """
+    if not components:
+        raise ValueError("mixture needs at least one component")
+    weights = np.array([w for _, w in components], dtype=float)
+    if not np.all(np.isfinite(weights)):
+        raise ValueError(f"weights {weights} are not finite")
+    if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
+        raise ValueError(f"weights {weights} are not a distribution")
+    sizes = {p.n for p, _ in components}
+    if len(sizes) != 1:
+        raise ValueError("mixture components act on different sizes")
+    return sizes.pop(), weights
+
+
 def format_permutation(p: Permutation) -> str:
     """Comma-separated one-line notation, e.g. '2,0,1'."""
     return ",".join(str(v) for v in p.mapping)
@@ -129,14 +151,9 @@ def symmetric_group(n: int) -> tuple[Permutation, ...]:
     return tuple(Permutation(m) for m in itertools.permutations(range(n)))
 
 
-@lru_cache(maxsize=None)
-def _lex_index_table(n: int) -> dict[tuple[int, ...], int]:
-    return {p.mapping: i for i, p in enumerate(symmetric_group(n))}
-
-
 def lex_index(p: Permutation) -> int:
     """Index of p in the lexicographic enumeration of S_n."""
-    return _lex_index_table(p.n)[p.mapping]
+    return int(lex_indices(np.array([p.mapping]))[0])
 
 
 @lru_cache(maxsize=None)

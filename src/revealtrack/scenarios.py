@@ -74,7 +74,6 @@ class JointScenario:
     """A joint-tracker run: automaton, initial unnormalized state, and a
     step list of symbol indices with optional ``RESET`` markers."""
 
-    name: str
     automaton: Pfsa
     initial: np.ndarray
     steps: tuple[Union[int, str], ...]
@@ -89,7 +88,6 @@ class JointScenario:
 class MarginalScenario:
     """A marginal-tracker run from the identity state."""
 
-    name: str
     n: int
     steps: tuple[Union[MixSpec, RevealSpec], ...]
 
@@ -143,8 +141,7 @@ def adversarial_joint_scenario(cycles: int, reset_every: int | None = None) -> J
         steps.extend((a.symbol_index("mix"), a.symbol_index("reveal")))
         if reset_every is not None and cycle % reset_every == 0:
             steps.append(RESET)
-    name = "joint-absorbing" if reset_every is None else f"full-reveal-every-{reset_every}"
-    return JointScenario(name, a, np.array([0.0, 0.5, 0.5]), tuple(steps))
+    return JointScenario(a, np.array([0.0, 0.5, 0.5]), tuple(steps))
 
 
 def adversarial_marginal_scenario(cycles: int) -> MarginalScenario:
@@ -160,7 +157,7 @@ def adversarial_marginal_scenario(cycles: int) -> MarginalScenario:
     steps: list[Union[MixSpec, RevealSpec]] = []
     for _ in range(cycles):
         steps.extend((mix, reveal))
-    return MarginalScenario("marginal-swap-reveal", 3, tuple(steps))
+    return MarginalScenario(3, tuple(steps))
 
 
 def dfa_scenario(steps: int) -> JointScenario:
@@ -173,7 +170,7 @@ def dfa_scenario(steps: int) -> JointScenario:
     a = Pfsa((swap01, rotate), q0=0)
     initial = np.zeros(3)
     initial[a.q0] = 1.0
-    return JointScenario("dfa", a, initial, tuple(i % 2 for i in range(steps)))
+    return JointScenario(a, initial, tuple(i % 2 for i in range(steps)))
 
 
 def noisy_swap_s3() -> Pfsa:

@@ -414,7 +414,7 @@ def parse(text: str) -> Trace:
     if len(names) < 2:
         raise TraceParseError("transcript initializes fewer than two variables", len(lines) + 1)
 
-    return _trace_from_events(events, len(names))
+    return _trace_from_events(events, len(names), len(lines) + 1)
 
 
 def _shared(event: TraceEvent, text_lines: tuple[str, ...]) -> TraceEvent:
@@ -461,14 +461,14 @@ def _parse_command(line: str, names: tuple[str, ...]) -> TraceEvent:
     else:
         if tuple(lhs) != names:
             raise _LineError("full command must list every variable in order")
-        if sorted(rhs) != sorted(names):
-            raise _LineError("assignment tuple is not bijective")
         p = Permutation(tuple(names.index(name) for name in rhs))
     return TraceEvent("command", (line,), permutation=p)
 
 
-def _trace_from_events(events: list[TraceEvent], n_vars: int) -> Trace:
+def _trace_from_events(events: list[TraceEvent], n_vars: int, end_line: int) -> Trace:
     commands = [e for e in events if e.kind == "command"]
+    if not commands:
+        raise TraceParseError("transcript has no command", end_line)
     kind = ELEMENTARY_SWAP
     for e in commands:
         if len(e.text_lines[0].split(" = ")[0].split(", ")) > 2:
@@ -476,7 +476,7 @@ def _trace_from_events(events: list[TraceEvent], n_vars: int) -> Trace:
             break
     config = TraceConfig(
         n_vars=n_vars,
-        n_commands=max(len(commands), 1),
+        n_commands=len(commands),
         reveal_spacing=_infer_spacing(events),
         command_kind=kind,
         seed=0,

@@ -25,7 +25,6 @@ from revealtrack.automaton import (
     read_automaton,
     reveal_only,
     sample_trajectory,
-    sample_transition,
     transition_only,
     validate,
     validate_belief,
@@ -264,9 +263,7 @@ def test_sample_transition_skips_zero_probability_tail():
         def integers(self, high: int) -> int:
             return high - 1
 
-    assert sample_transition(a, 0, 0, TopDraw()) == 1
-    # sample_trajectory draws from the same columns: state 0 goes to 1,
-    # where the top draw stays.
+    # State 0 goes to 1, where the top draw stays.
     assert sample_trajectory(a, 3, TopDraw()).states == (0, 1, 1, 1)
 
 
@@ -358,6 +355,17 @@ def test_document_errors():
         loads_automaton(truncated)
     with pytest.raises(AutomatonFormatError):
         loads_automaton(good.replace("0.5 0.5", "0.5 frog", 1))
+    head = "pfsa v1\nstates 2\nq0 0\n"
+    with pytest.raises(AutomatonFormatError, match="end of document, wanted 'q0'"):
+        loads_automaton("pfsa v1\nstates 2\n")
+    with pytest.raises(AutomatonFormatError, match="invalid literal"):
+        loads_automaton("pfsa v1\nstates two\nq0 0\n")
+    with pytest.raises(AutomatonFormatError, match="bad reveal set for 's'"):
+        loads_automaton(head + "symbol s\nreveal zero\nT\n1.0 0.0\n0.0 1.0\n")
+    with pytest.raises(AutomatonFormatError, match="row of length 1, expected 2"):
+        loads_automaton(head + "symbol s\nreveal 0\nT\n1.0\n0.0 1.0\n")
+    with pytest.raises(AutomatonFormatError, match="defines no symbols"):
+        loads_automaton(head)
 
 
 def test_loads_rejects_non_finite_kernel():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from revealtrack.automaton import write_automaton
-from revealtrack.cli import build_parser, main
+from revealtrack.cli import _MINIMUMS, build_parser, main
 from revealtrack.scenarios import hidden_swap_automaton
 
 
@@ -405,6 +405,36 @@ def test_gen_traces_rejects_count_below_one(tmp_path, capsys, count):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["decay", "--scenario", "joint-absorbing", "--cycles", "0"], "decay --cycles must be at least 1, got 0"),
+        (["decay", "--scenario", "dfa", "--steps", "0"], "decay --steps must be at least 1, got 0"),
+        (["decay", "--scenario", "full-reveal-every-k", "--k", "0"], "decay --k must be at least 1, got 0"),
+        (["gen-traces", "--seed", "-1"], "gen-traces --seed must be at least 0, got -1"),
+        (["gen-traces", "--curriculum", "--stage-samples", "0"],
+         "gen-traces --stage-samples must be at least 1, got 0"),
+        (["verify", "--seed", "-1"], "verify --seed must be at least 0, got -1"),
+    ],
+    ids=["decay-cycles", "decay-dfa-steps", "decay-k", "gen-traces-seed", "stage-samples", "verify-seed"],
+)
+def test_integer_flag_below_its_minimum_names_the_flag(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    if argv[0] != "verify":
+        argv = argv + ["--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_every_integer_flag_has_a_minimum():
+    for command, subparser in build_parser().commands.items():
+        int_flags = {action.dest for action in subparser._actions if action.type is int}
+        assert int_flags == set(_MINIMUMS.get(command, {})), command
+
+
 def test_verify_injected_fault(capsys):
     assert main(["verify", "--runs", "5", "--trace-count", "5", "--inject-fault"]) == 1
     assert "FAIL fault-injection-probe" in capsys.readouterr().out
@@ -597,6 +627,12 @@ def test_replay_checks_each_value_against_its_flag(tmp_path, capsys, argv, key, 
     code, err = _replay_edited(tmp_path, capsys, argv, lambda m: m["config"].update({key: value}))
     assert code == 2
     assert err == f"error: manifest config {message}\n"
+
+
+def test_replay_checks_each_value_against_its_minimum(tmp_path, capsys):
+    code, err = _replay_edited(tmp_path, capsys, DECAY_ARGV, lambda m: m["config"].update(cycles=0))
+    assert (code, err) == (2, "error: decay --cycles must be at least 1, got 0\n")
+    assert not (tmp_path / "again").exists()
 
 
 def test_replay_checks_the_command_and_digests_first(tmp_path, capsys):

@@ -364,6 +364,20 @@ def test_parse_errors():
         parse(">>> a = 1\n")
     with pytest.raises(TraceParseError, match="initialized twice"):
         parse(">>> a = 1\n>>> a = 2\n")
+    with pytest.raises(TraceParseError, match="line 5, column 1: transcript has no command"):
+        parse(base + ">>> print('a', a)\na 1\n")
+    with pytest.raises(TraceParseError, match="line 3, column 1: transcript has no command"):
+        parse(base)
+    with pytest.raises(TraceParseError, match="expected reveal output line"):
+        parse(base + ">>> print('a', a)\n>>> a, b = b, a\n")
+    with pytest.raises(TraceParseError, match="out-of-order variable 'c'"):
+        parse(">>> a = 1\n>>> c = 2\n")
+    with pytest.raises(TraceParseError, match="print label 'a' differs from variable 'b'"):
+        parse(base + ">>> print('a', b)\n")
+    with pytest.raises(TraceParseError, match="column 12: unknown variable 'c'"):
+        parse(base + ">>> print('c', c)\n")
+    with pytest.raises(TraceParseError, match="sides differ in length"):
+        parse(base + ">>> c = 3\n>>> a, b, c = b, a\n")
     err = None
     try:
         parse(base + ">>> print('a', a)\nb 1\n")
