@@ -416,19 +416,14 @@ def check_underflow_threshold(long_cycles: int = 1000) -> CheckResult:
     )
 
 
-def check_fault_probe() -> CheckResult:
-    return _result("fault-injection-probe", False, "deliberate failure requested", {})
-
-
 def run_all(
     runs: int = 200,
     max_n: int = 5,
     steps: int = 40,
     trace_count: int = 300,
     seed: int = 20260810,
-    inject_fault: bool = False,
 ) -> list[CheckResult]:
-    results = [
+    return [
         check_absorbing_decay(),
         check_swap_reveal_decay(),
         check_noisy_swap_example(),
@@ -443,6 +438,3 @@ def run_all(
         check_trace_roundtrip(count=trace_count, seed=seed + 6),
         check_underflow_threshold(),
     ]
-    if inject_fault:
-        results.append(check_fault_probe())
-    return results

@@ -16,7 +16,7 @@ The file-producing commands take one path: the parsed flags minus
 output and returns the summary to print, and ``<output>.manifest.json``
 records the command, the config, the package and numpy versions, and a
 sha256 per output and per input file. ``replay`` checks each recorded
-value against the type its flag parses to and the flag's minimum, then
+value against the type its flag parses to and the flag's bounds, then
 calls the same runner on the manifest's config. All randomness descends
 from the single ``--seed`` flag (per-trace seeds are split
 deterministically), so identical manifests regenerate identical bytes;
@@ -168,14 +168,25 @@ _MINIMUMS = {
     "simulate": {"steps": 1, "seed": 0},
     "verify": {"runs": 1, "max_n": 2, "steps": 1, "trace_count": 1, "seed": 0},
 }
+# The largest value of the integer flags that have one: a transcript names
+# its variables with single letters.
+_MAXIMUMS = {
+    "gen-traces": {"n_vars": tr.MAX_VARS},
+}
 
 
-def _check_minimums(command: str, config: dict) -> None:
-    """Each integer flag that ``config`` holds must be at least its minimum."""
+def _check_bounds(command: str, config: dict) -> None:
+    """Each integer flag that ``config`` holds must be at least its
+    minimum and at most its maximum, if it has one."""
     for dest, low in _MINIMUMS.get(command, {}).items():
-        if dest in config and config[dest] < low:
-            flag = "--" + dest.replace("_", "-")
-            raise ValueError(f"{command} {flag} must be at least {low}, got {config[dest]}")
+        if dest not in config:
+            continue
+        value, flag = config[dest], "--" + dest.replace("_", "-")
+        if value < low:
+            raise ValueError(f"{command} {flag} must be at least {low}, got {value}")
+        high = _MAXIMUMS.get(command, {}).get(dest)
+        if high is not None and value > high:
+            raise ValueError(f"{command} {flag} must be at most {high}, got {value}")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -216,7 +227,7 @@ def _check_config(command: str, config: dict) -> None:
     """Each recorded value must have the type its flag parses to: an int
     flag takes an int that is not a bool, a ``store_true`` flag a bool, and
     every other flag (a table name or a path) a string. An int must then
-    be at least its flag's minimum."""
+    be within its flag's bounds."""
     for action in build_parser().commands[command]._actions:
         if action.dest not in config:
             continue
@@ -229,7 +240,7 @@ def _check_config(command: str, config: dict) -> None:
             ok, expected = isinstance(value, str), "a string"
         if not ok:
             raise ValueError(f"manifest config {action.dest!r} must be {expected}, got {json.dumps(value)}")
-    _check_minimums(command, config)
+    _check_bounds(command, config)
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
@@ -316,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--steps", type=int, default=40)
     verify.add_argument("--trace-count", type=int, default=300)
     verify.add_argument("--seed", type=int, default=20260810)
-    verify.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     verify.set_defaults(func=_cmd_verify)
 
     replay = sub.add_parser("replay", help="regenerate a manifest's outputs and compare digests")
@@ -330,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        _check_minimums(args.command, _flags(args))
+        _check_bounds(args.command, _flags(args))
         return args.func(args)
     except (ValueError, OSError, DeadEndError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -46,7 +46,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -56,7 +56,7 @@ ELEMENTARY_SWAP = "elementary_swap"
 FULL_PERMUTATION = "full_permutation"
 COMMAND_KINDS = (ELEMENTARY_SWAP, FULL_PERMUTATION)
 
-_MAX_VARS = 26
+MAX_VARS = 26
 _MAX_SEED = 2**64
 
 _INIT_RE = re.compile(r"^>>> ([a-z]) = (\d+)$")
@@ -83,8 +83,8 @@ class TraceConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if not 2 <= self.n_vars <= _MAX_VARS:
-            raise ValueError(f"n_vars must be in [2, {_MAX_VARS}], got {self.n_vars}")
+        if not 2 <= self.n_vars <= MAX_VARS:
+            raise ValueError(f"n_vars must be in [2, {MAX_VARS}], got {self.n_vars}")
         if self.n_commands < 1:
             raise ValueError(f"n_commands must be >= 1, got {self.n_commands}")
         if self.reveal_spacing < 1:
@@ -134,7 +134,7 @@ class ExecutionResult:
 
 
 def var_name(index: int) -> str:
-    if not 0 <= index < _MAX_VARS:
+    if not 0 <= index < MAX_VARS:
         raise ValueError(f"variable index {index} out of range")
     return chr(ord("a") + index)
 
@@ -347,74 +347,111 @@ def generate(config: TraceConfig, rng: np.random.Generator | None = None) -> Tra
 
 
 def parse(text: str) -> Trace:
-    """Parse a transcript back into a trace.
+    """Parse a transcript back into a trace, in one walk over its lines.
 
-    Inverse of ``render`` on the event list. The returned config carries
+    Inverse of ``render`` on the event list. The walk builds the events,
+    the reveal spans and the final state as it goes. Every line belongs to
+    exactly one event, so the text is the lines joined by newlines, which
+    is what ``render`` makes of the events. The returned config carries
     reconstructed metadata: counts are exact, the command kind is inferred
     from statement shapes, the spacing is inferred when the reveal cadence
     is regular (1 otherwise), and the seed is unknowable (0).
+
+    Command lines go through a memo keyed by the line and the initialized
+    variable names, bounded at ``_CACHE_SIZE`` entries.
     """
     lines = text.splitlines()
     events: list[TraceEvent] = []
-    names: tuple[str, ...] = ()
-    pending_print: tuple[str, int] | None = None  # (var name, line no)
+    names = ""  # the initialized variables, one letter each, in order
+    state: list[int] | tuple[int, ...] = []  # a tuple once a command has run
+    spans: list[tuple[int, int]] = []
+    offset = 0  # where the next line starts in the returned text
+    pending_print: str | None = None  # the variable an open reveal prints
     saw_command_or_reveal = False
+    n_commands = commands_at_reveal = 0
+    spacing: int | None = None  # the command gap before every reveal; 0 once two differ
+    full = False
 
     for lineno, line in enumerate(lines, start=1):
+        start, offset = offset, offset + len(line) + 1
         if pending_print is not None:
             out = _OUTPUT_RE.match(line)
             if not out:
                 raise TraceParseError(f"expected reveal output line, got {line!r}", lineno)
-            name, value = out.group(1), int(out.group(2))
-            if name != pending_print[0]:
+            name, digits = out.groups()
+            value = int(digits)
+            if name != pending_print:
                 raise TraceParseError(
-                    f"output line names {name!r} but print revealed {pending_print[0]!r}",
+                    f"output line names {name!r} but print revealed {pending_print!r}",
                     lineno,
                 )
-            var = names.index(name)
-            events.append(_shared(_reveal(var, value), (lines[lineno - 2], line)))
+            events.append(_shared(_reveal(names.index(name), value), (lines[lineno - 2], line)))
+            # The value starts past the one-letter name and a space.
+            spans.append((start + 2, start + 2 + len(str(value))))
+            gap, commands_at_reveal = n_commands - commands_at_reveal, n_commands
+            if spacing is None:
+                spacing = gap
+            elif gap != spacing:
+                spacing = 0
             pending_print = None
             continue
 
-        # Only an assignment has a comma after its first name; the init and
-        # print patterns cannot match such a line, so it skips them.
-        assignment = line[5:6] == ","
-        init = None if assignment else _INIT_RE.match(line)
-        if init:
-            name, value = init.group(1), int(init.group(2))
-            if saw_command_or_reveal:
-                raise TraceParseError("initialization after the first command", lineno)
-            if name in names:
-                raise TraceParseError(f"variable {name!r} initialized twice", lineno)
-            if names and name != var_name(len(names)):
-                raise TraceParseError(f"out-of-order variable {name!r}", lineno)
-            names += (name,)
-            events.append(_shared(_init(len(names) - 1, value), (line,)))
-            continue
+        # Past the prompt and a name, an init line has a space, a print line
+        # the "r" of print and an assignment a comma; each pattern can match
+        # only lines with its own mark.
+        mark = line[5:6]
+        if mark != ",":
+            init = mark == " " and _INIT_RE.match(line)
+            if init:
+                name, digits = init.groups()
+                value = int(digits)
+                if saw_command_or_reveal:
+                    raise TraceParseError("initialization after the first command", lineno)
+                if name in names:
+                    raise TraceParseError(f"variable {name!r} initialized twice", lineno)
+                if names and name != var_name(len(names)):
+                    raise TraceParseError(f"out-of-order variable {name!r}", lineno)
+                events.append(_shared(_init(len(names), value), (line,)))
+                names += name
+                state.append(value)
+                continue
 
-        printed = None if assignment else _PRINT_RE.match(line)
-        if printed:
-            label, operand = printed.group(1), printed.group(2)
-            if label != operand:
-                raise TraceParseError(f"print label {label!r} differs from variable {operand!r}", lineno)
-            if label not in names:
-                raise TraceParseError(f"unknown variable {label!r}", lineno, line.index(label) + 1)
-            saw_command_or_reveal = True
-            pending_print = (label, lineno)
-            continue
+            printed = mark == "r" and _PRINT_RE.match(line)
+            if printed:
+                label, operand = printed.groups()
+                if label != operand:
+                    raise TraceParseError(f"print label {label!r} differs from variable {operand!r}", lineno)
+                if label not in names:
+                    raise TraceParseError(f"unknown variable {label!r}", lineno, line.index(label) + 1)
+                saw_command_or_reveal = True
+                pending_print = label
+                continue
 
         saw_command_or_reveal = True
         try:
-            events.append(_parse_command(line, names))
+            event, step, lists_more_than_two = _parse_command(line, names)
         except _LineError as exc:
             raise TraceParseError(exc.message, lineno, exc.column) from None
+        events.append(event)
+        state = step(state)
+        full = full or lists_more_than_two
+        n_commands += 1
 
+    end_line = len(lines) + 1
     if pending_print is not None:
-        raise TraceParseError("transcript ends inside a reveal", len(lines) + 1)
+        raise TraceParseError("transcript ends inside a reveal", end_line)
     if len(names) < 2:
-        raise TraceParseError("transcript initializes fewer than two variables", len(lines) + 1)
-
-    return _trace_from_events(events, len(names), len(lines) + 1)
+        raise TraceParseError("transcript initializes fewer than two variables", end_line)
+    if not n_commands:
+        raise TraceParseError("transcript has no command", end_line)
+    config = TraceConfig(
+        n_vars=len(names),
+        n_commands=n_commands,
+        reveal_spacing=spacing or 1,
+        command_kind=FULL_PERMUTATION if full else ELEMENTARY_SWAP,
+        seed=0,
+    )
+    return Trace(config, tuple(events), "\n".join(lines) + "\n", tuple(spans), tuple(state))
 
 
 def _shared(event: TraceEvent, text_lines: tuple[str, ...]) -> TraceEvent:
@@ -435,11 +472,17 @@ class _LineError(Exception):
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _parse_command(line: str, names: tuple[str, ...]) -> TraceEvent:
-    """The command event of ``line`` under the initialized ``names``.
+def _parse_command(
+    line: str, names: str
+) -> tuple[TraceEvent, Callable[[Sequence[int]], tuple[int, ...]], bool]:
+    """The command event of ``line`` under the initialized ``names``, the
+    step that applies it to a state, and whether it lists more than two
+    variables (so is a full permutation).
 
-    Memoized: a transcript repeats few distinct command lines. Errors raise
-    and are never stored, so each one is reported afresh.
+    Memoized: a transcript repeats few distinct command lines. The key holds
+    the names, not only their count, because the first initialized variable
+    need not be ``a``. Errors raise and are never stored, so each one is
+    reported afresh.
     """
     match = _ASSIGN_RE.match(line)
     if not match:
@@ -459,45 +502,10 @@ def _parse_command(line: str, names: tuple[str, ...]) -> TraceEvent:
             raise _LineError("two-variable command must be a swap")
         p = transposition(n, names.index(lhs[0]), names.index(lhs[1]))
     else:
-        if tuple(lhs) != names:
+        if "".join(lhs) != names:
             raise _LineError("full command must list every variable in order")
         p = Permutation(tuple(names.index(name) for name in rhs))
-    return TraceEvent("command", (line,), permutation=p)
-
-
-def _trace_from_events(events: list[TraceEvent], n_vars: int, end_line: int) -> Trace:
-    commands = [e for e in events if e.kind == "command"]
-    if not commands:
-        raise TraceParseError("transcript has no command", end_line)
-    kind = ELEMENTARY_SWAP
-    for e in commands:
-        if len(e.text_lines[0].split(" = ")[0].split(", ")) > 2:
-            kind = FULL_PERMUTATION
-            break
-    config = TraceConfig(
-        n_vars=n_vars,
-        n_commands=len(commands),
-        reveal_spacing=_infer_spacing(events),
-        command_kind=kind,
-        seed=0,
-    )
-    text, spans = _assemble(events)
-    result = execute(events)
-    return Trace(config, tuple(events), text, spans, result.final_state)
-
-
-def _infer_spacing(events: list[TraceEvent]) -> int:
-    gaps = []
-    since_reveal = 0
-    for e in events:
-        if e.kind == "command":
-            since_reveal += 1
-        elif e.kind == "reveal":
-            gaps.append(since_reveal)
-            since_reveal = 0
-    if gaps and len(set(gaps)) == 1 and gaps[0] >= 1:
-        return gaps[0]
-    return 1
+    return TraceEvent("command", (line,), permutation=p), operator.itemgetter(*p.mapping), len(lhs) > 2
 
 
 # Line-delimited dataset export. One JSON object per trace with the fields

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from revealtrack import checks
 from revealtrack.automaton import write_automaton
 from revealtrack.cli import _MINIMUMS, build_parser, main
 from revealtrack.scenarios import hidden_swap_automaton
@@ -435,9 +436,20 @@ def test_every_integer_flag_has_a_minimum():
         assert int_flags == set(_MINIMUMS.get(command, {})), command
 
 
-def test_verify_injected_fault(capsys):
-    assert main(["verify", "--runs", "5", "--trace-count", "5", "--inject-fault"]) == 1
-    assert "FAIL fault-injection-probe" in capsys.readouterr().out
+def test_integer_flag_above_its_maximum_names_the_flag(tmp_path, capsys):
+    out = tmp_path / "traces.jsonl"
+    assert main(["gen-traces", "--n-vars", "27", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: gen-traces --n-vars must be at most 26, got 27\n"
+    assert not out.exists()
+
+
+def test_verify_injected_fault(capsys, monkeypatch):
+    failing = checks.CheckResult("underflow-threshold", False, "deliberate failure", {})
+    monkeypatch.setattr(checks, "check_underflow_threshold", lambda: failing)
+    assert main(["verify", "--runs", "5", "--trace-count", "5"]) == 1
+    assert "FAIL underflow-threshold: deliberate failure" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -632,6 +644,12 @@ def test_replay_checks_each_value_against_its_flag(tmp_path, capsys, argv, key, 
 def test_replay_checks_each_value_against_its_minimum(tmp_path, capsys):
     code, err = _replay_edited(tmp_path, capsys, DECAY_ARGV, lambda m: m["config"].update(cycles=0))
     assert (code, err) == (2, "error: decay --cycles must be at least 1, got 0\n")
+    assert not (tmp_path / "again").exists()
+
+
+def test_replay_checks_each_value_against_its_maximum(tmp_path, capsys):
+    code, err = _replay_edited(tmp_path, capsys, GEN_ARGV, lambda m: m["config"].update(n_vars=27))
+    assert (code, err) == (2, "error: gen-traces --n-vars must be at most 26, got 27\n")
     assert not (tmp_path / "again").exists()
 
 

@@ -311,6 +311,83 @@ def test_parse_keeps_lines_as_written():
     assert canonical.events[-1].text_lines[1] == "a 2"
 
 
+def test_parse_neither_replays_nor_reassembles(monkeypatch):
+    trace = generate(TraceConfig(5, 64, 8, FULL_PERMUTATION, seed=11))
+    expected = execute(trace.events).final_state
+
+    def fail(*args):
+        raise AssertionError("parse builds the trace in its own walk")
+
+    monkeypatch.setattr(trace_module, "execute", fail)
+    monkeypatch.setattr(trace_module, "_assemble", fail)
+    parsed = parse(trace.text)
+    assert parsed.final_state == expected
+    assert (parsed.text, parsed.reveal_spans) == (trace.text, trace.reveal_spans)
+
+
+@pytest.mark.parametrize("spacing", (1, 3, 8))
+@pytest.mark.parametrize("n_vars", (2, 3, 4, 5, 6))
+@pytest.mark.parametrize("kind", COMMAND_KINDS)
+def test_parse_inverts_generate(kind, n_vars, spacing):
+    # 1 to 36 commands: traces with no reveal, with a partial last window
+    # and with whole windows only.
+    for index in range(8):
+        config = TraceConfig(n_vars, 1 + 5 * index, spacing, kind, seed=derive_seed(11, spacing, index))
+        trace = generate(config)
+        parsed = parse(trace.text)
+        assert parsed.events == trace.events
+        assert parsed.text == trace.text
+        assert parsed.reveal_spans == trace.reveal_spans
+        assert parsed.final_state == trace.final_state
+        assert render(parsed) == parsed.text
+        assert (parsed.config.n_vars, parsed.config.n_commands) == (n_vars, config.n_commands)
+        assert parsed.config.reveal_spacing == (spacing if config.n_reveals else 1)
+
+
+def test_parse_normalizes_line_endings():
+    trace = shell_game_trace()
+    for text in (trace.text.replace("\n", "\r\n"), trace.text[:-1]):
+        parsed = parse(text)
+        assert parsed == parse(trace.text)
+        assert parsed.events == trace.events
+        assert (parsed.text, parsed.reveal_spans) == (trace.text, trace.reveal_spans)
+
+
+def test_parse_spans_after_a_leading_zero():
+    # The span of a value written with leading zeros keeps the length of
+    # the value, and every later span moves by the extra characters.
+    parsed = parse(SHELL_GAME_TEXT.replace("c 1\n", "c 001\n"))
+    assert parsed.reveal_spans == ((66, 67), (104, 105), (144, 145))
+    assert parse(SHELL_GAME_TEXT).reveal_spans == ((66, 67), (104, 105), (142, 143))
+    assert parsed.final_state == (1, 3, 2)
+    assert render(parsed) == parsed.text == SHELL_GAME_TEXT.replace("c 1\n", "c 001\n")
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        # Ends inside a reveal, and initializes only one variable.
+        (">>> a = 1\n>>> print('a', a)\n", ("line 3, column 1: transcript ends inside a reveal", 3, 1)),
+        # Has no command, and initializes only one variable.
+        (">>> a = 1\n>>> print('a', a)\na 1\n", ("line 4, column 1: transcript initializes fewer than two variables", 4, 1)),
+        # Its first variable is not a, so the command's names are unknown.
+        (">>> c = 1\n>>> a, b = b, a\n", ("line 2, column 5: unknown variable 'a'", 2, 5)),
+        # A wrong output name, then an unknown variable.
+        (
+            ">>> a = 1\n>>> b = 2\n>>> print('a', a)\nb 1\n>>> a, z = z, a\n",
+            ("line 4, column 1: output line names 'b' but print revealed 'a'", 4, 1),
+        ),
+        # A non-bijective command, then an init after it.
+        (">>> a = 1\n>>> b = 2\n>>> a, b = b, b\n>>> c = 3\n", ("line 3, column 1: assignment tuple is not bijective", 3, 1)),
+    ],
+    ids=["open-reveal", "no-command", "first-name", "output-name", "not-bijective"],
+)
+def test_parse_reports_the_first_fault(text, error):
+    with pytest.raises(TraceParseError) as info:
+        parse(text)
+    assert (str(info.value), info.value.line, info.value.column) == error
+
+
 def test_full_permutations_exclude_identity():
     config = TraceConfig(3, 200, 200, FULL_PERMUTATION, seed=1)
     trace = generate(config)
