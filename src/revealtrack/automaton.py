@@ -27,6 +27,7 @@ holds the dense matrix.
 
 from __future__ import annotations
 
+import bisect
 import io
 import math
 import os
@@ -343,13 +344,14 @@ def belief_trajectory(a: Pfsa, symbols, b0: np.ndarray | None = None) -> np.ndar
 
     Row 0 is the initial belief (one-hot at q0 unless ``b0`` is given).
     This per-step-normalized filter is the reference the deferred-
-    normalization trackers are measured against.
+    normalization trackers are measured against. Each row is the fresh
+    array ``belief_update`` returns, copied once into the stacked result.
     """
-    b = one_hot(a.m, a.q0) if b0 is None else np.asarray(b0, dtype=float).copy()
-    rows = [b.copy()]
+    b = one_hot(a.m, a.q0) if b0 is None else np.asarray(b0, dtype=float)
+    rows = [b]
     for s in symbols:
         b = belief_update(a, b, s)
-        rows.append(b.copy())
+        rows.append(b)
     return np.array(rows)
 
 
@@ -357,26 +359,28 @@ def consistent_symbols(a: Pfsa, state: int) -> np.ndarray:
     return np.array([i for i, s in enumerate(a.symbols) if state in s.reveal], dtype=int)
 
 
-def _column_cdf(a: Pfsa, symbol: int, state: int) -> tuple[np.ndarray, np.ndarray]:
+def _column_cdf(a: Pfsa, symbol: int, state: int) -> tuple[list[int], list[float]]:
     """The states of nonzero probability in column ``state`` of the symbol's
-    kernel, and the running sums of their probabilities.
+    kernel, and the running sums of their probabilities, as lists.
 
     These sums are the full column's running sums at those states, bit for
     bit, since adding a zero changes no sum.
     """
     col = a.symbols[symbol].column(state)
     support = np.flatnonzero(col)
-    return support, np.cumsum(col[support])
+    return support.tolist(), np.cumsum(col[support]).tolist()
 
 
-def _draw_next(support: np.ndarray, cdf: np.ndarray, rng: np.random.Generator) -> int:
+def _draw_next(support: list[int], cdf: list[float], rng: np.random.Generator) -> int:
     """The state of ``support`` that a uniform draw lands on.
 
-    A column may sum to slightly less than 1, so a draw can land past its
-    total; it then goes to the last state of nonzero probability.
+    ``bisect_right`` makes the comparisons of ``np.searchsorted(...,
+    side="right")`` on the same float64 values. A column may sum to
+    slightly less than 1, so a draw can land past its total; it then goes
+    to the last state of nonzero probability.
     """
-    k = int(np.searchsorted(cdf, rng.random(), side="right"))
-    return int(support[min(k, len(support) - 1)])
+    k = bisect.bisect_right(cdf, rng.random())
+    return support[min(k, len(support) - 1)]
 
 
 @dataclass(frozen=True)
@@ -396,17 +400,17 @@ def sample_trajectory(a: Pfsa, steps: int, rng: np.random.Generator) -> Trajecto
     q = a.q0
     states = [q]
     chosen: list[int] = []
-    # Built once per call: each state's consistent symbols and each
-    # (symbol, state) column's support and running sums.
-    options_at: dict[int, np.ndarray] = {}
-    columns: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+    # Built once per call, as lists: each state's consistent symbols and
+    # each (symbol, state) column's support and running sums.
+    options_at: dict[int, list[int]] = {}
+    columns: dict[tuple[int, int], tuple[list[int], list[float]]] = {}
     for t in range(steps):
         options = options_at.get(q)
         if options is None:
-            options = options_at[q] = consistent_symbols(a, q)
-        if len(options) == 0:
+            options = options_at[q] = consistent_symbols(a, q).tolist()
+        if not options:
             raise DeadEndError(f"state {q} at step {t} admits no consistent symbol")
-        s = int(options[rng.integers(len(options))])
+        s = options[rng.integers(len(options))]
         column = columns.get((s, q))
         if column is None:
             column = columns[s, q] = _column_cdf(a, s, q)

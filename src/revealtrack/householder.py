@@ -16,6 +16,7 @@ k; the rank-1 structure makes a general eigensolver unnecessary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -54,9 +55,15 @@ def householder_matrix(step: HouseholderStep) -> np.ndarray:
     return np.eye(step.n) - step.beta * np.outer(step.key, step.key)
 
 
+# A step is frozen with a read-only key, so equal arguments can share one.
+# ``typed`` keeps an argument of another type (a float n, say) out of an int
+# key's entry, so it fails as an uncached call would. Bounded like the
+# ``trace`` event caches: 8192 entries hold every ordered pair at n = 90.
+@lru_cache(maxsize=8192, typed=True)
 def swap_head(n: int, i: int, j: int) -> HouseholderStep:
     """The step realizing the transposition of coordinates i and j:
-    beta = 2, k = (e_i - e_j)/sqrt(2)."""
+    beta = 2, k = (e_i - e_j)/sqrt(2). Memoized: equal arguments return
+    the same step."""
     if i == j:
         raise ValueError("swap needs two distinct coordinates")
     if not (0 <= i < n and 0 <= j < n):

@@ -153,12 +153,12 @@ def vectorized_step(
 def birkhoff_residual(state: np.ndarray) -> float:
     """Largest deviation of any row or column sum from 1."""
     state = np.asarray(state, dtype=float)
-    return float(
-        max(
-            np.abs(state.sum(axis=1) - 1.0).max(),
-            np.abs(state.sum(axis=0) - 1.0).max(),
-        )
-    )
+    return _residual(state.sum(axis=1), state.sum(axis=0))
+
+
+def _residual(rows: np.ndarray, cols: np.ndarray) -> float:
+    """Largest deviation of the given row and column sums from 1."""
+    return float(max(np.abs(rows - 1.0).max(), np.abs(cols - 1.0).max()))
 
 
 @dataclass(frozen=True)
@@ -181,24 +181,32 @@ def sinkhorn_project(
     the best iterate is returned with ``converged=False`` rather than
     raising, since matrices produced by reveals can sit on the polytope
     boundary where convergence is slow.
+
+    Each iterate divides the rows by their sums, then the columns by
+    theirs, and takes one row sum and one column sum of the result: they
+    give the residual, and the row sums divide the next iterate's rows.
+    The sums of the input serve the support check and the first residual
+    the same way.
     """
-    h = np.asarray(state, dtype=float).copy()
+    h = np.array(state, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got {h.shape}")
-    if not np.all(np.isfinite(h)):
+    if not np.isfinite(h).all():
         raise ValueError("Sinkhorn input must be finite")
-    if np.any(h < 0):
+    if (h < 0).any():
         raise ValueError("Sinkhorn input must be nonnegative")
-    if np.any(h.sum(axis=1) == 0) or np.any(h.sum(axis=0) == 0):
+    rows, cols = h.sum(axis=1), h.sum(axis=0)
+    if not (rows.all() and cols.all()):  # a zero sum; the entries are finite
         raise NoSupportError("input has an all-zero row or column")
 
-    residual = birkhoff_residual(h)
+    residual = _residual(rows, cols)
     if residual <= tol:
         return SinkhornResult(h, 0, residual, True)
     for iteration in range(1, max_iters + 1):
-        h /= h.sum(axis=1, keepdims=True)
-        h /= h.sum(axis=0, keepdims=True)
-        residual = birkhoff_residual(h)
+        h /= rows[:, None]
+        h /= h.sum(axis=0)
+        rows, cols = h.sum(axis=1), h.sum(axis=0)
+        residual = _residual(rows, cols)
         if residual <= tol:
             return SinkhornResult(h, iteration, residual, True)
     return SinkhornResult(h, max_iters, residual, False)
@@ -212,23 +220,33 @@ def joint_to_marginal(b: np.ndarray, n: int) -> np.ndarray:
     element j at position i. A point belief at arrangement c maps to
     ``to_matrix(c)``; a distribution maps into the Birkhoff polytope.
 
-    Each cell sums its arrangements in lex order, as a loop over the
-    arrangements would.
+    ``b`` may also be a stack of beliefs of shape ``(..., n!)``; the result
+    then has shape ``(..., n, n)``, one marginal per belief. Each cell is
+    the sequential sum of its arrangements in lex order, as a loop over the
+    arrangements would add them: one gather lays the (n-1)! arrangements of
+    every cell along an axis, and numpy reduces that axis one row after
+    another. A belief gives the same bits alone as inside a stack.
     """
     b = np.asarray(b, dtype=float)
-    if b.shape != (math.factorial(n),):
+    if b.ndim < 1 or b.shape[-1] != math.factorial(n):
         raise ValueError(f"belief of shape {b.shape} is not over {math.factorial(n)} arrangements")
-    out = np.empty((n, n))
-    for element, positions in enumerate(_positions_by_element(n)):
-        out[:, element] = np.bincount(positions, weights=b, minlength=n)
-    return out
+    cells = _cells(n)
+    if b.ndim == 1:
+        return b[cells].sum(axis=0).reshape(n, n)
+    # ``stack[:, cells]`` keeps numpy's fast gather, which ``b[..., cells]``
+    # loses.
+    stack = b.reshape(-1, b.shape[-1])
+    return stack[:, cells].sum(axis=1).reshape(b.shape[:-1] + (n, n))
 
 
 @lru_cache(maxsize=None)
-def _positions_by_element(n: int) -> np.ndarray:
-    """Read-only (n, n!) array: row e holds the position of element e in
-    every arrangement, in lex order. One ``np.bincount`` per row needs no
-    n * n! temporary, whose fresh pages cost more than the sums at n = 7."""
-    positions = np.ascontiguousarray(one_line_table(n).T)
-    positions.setflags(write=False)
-    return positions
+def _cells(n: int) -> np.ndarray:
+    """Read-only ((n-1)!, n*n) array: column i*n + e lists, in lex order,
+    the arrangements that place element e at position i."""
+    table = one_line_table(n)
+    keys = (table * n + np.arange(n)).ravel()
+    # A stable sort keeps each cell's arrangements in lex order.
+    order = np.argsort(keys, kind="stable") // n
+    cells = np.ascontiguousarray(order.reshape(n * n, -1).T)
+    cells.setflags(write=False)
+    return cells

@@ -133,10 +133,13 @@ class ExecutionResult:
     disagreements: tuple[RevealMismatch, ...]
 
 
+_NAMES = "abcdefghijklmnopqrstuvwxyz"  # the MAX_VARS variable names
+
+
 def var_name(index: int) -> str:
     if not 0 <= index < MAX_VARS:
         raise ValueError(f"variable index {index} out of range")
-    return chr(ord("a") + index)
+    return _NAMES[index]
 
 
 # Events are few: a full command depends only on its mapping, a swap on
@@ -357,12 +360,14 @@ def parse(text: str) -> Trace:
     from statement shapes, the spacing is inferred when the reveal cadence
     is regular (1 otherwise), and the seed is unknowable (0).
 
-    Command lines go through a memo keyed by the line and the initialized
-    variable names, bounded at ``_CACHE_SIZE`` entries.
+    The initialized variables must be ``a``, ``b``, ... in order, so a
+    command line goes through a memo keyed by the line and the variable
+    count, bounded at ``_CACHE_SIZE`` entries.
     """
     lines = text.splitlines()
     events: list[TraceEvent] = []
-    names = ""  # the initialized variables, one letter each, in order
+    names = ""  # the initialized variables, a, b, ... in order
+    n_vars = 0  # len(names), kept for the command memo key
     state: list[int] | tuple[int, ...] = []  # a tuple once a command has run
     spans: list[tuple[int, int]] = []
     offset = 0  # where the next line starts in the returned text
@@ -379,7 +384,10 @@ def parse(text: str) -> Trace:
             if not out:
                 raise TraceParseError(f"expected reveal output line, got {line!r}", lineno)
             name, digits = out.groups()
-            value = int(digits)
+            try:
+                value = int(digits)
+            except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+                raise TraceParseError(str(exc), lineno, out.start(2) + 1) from None
             if name != pending_print:
                 raise TraceParseError(
                     f"output line names {name!r} but print revealed {pending_print!r}",
@@ -404,15 +412,20 @@ def parse(text: str) -> Trace:
             init = mark == " " and _INIT_RE.match(line)
             if init:
                 name, digits = init.groups()
-                value = int(digits)
+                try:
+                    value = int(digits)
+                except ValueError as exc:  # as for an output line
+                    raise TraceParseError(str(exc), lineno, init.start(2) + 1) from None
                 if saw_command_or_reveal:
                     raise TraceParseError("initialization after the first command", lineno)
                 if name in names:
                     raise TraceParseError(f"variable {name!r} initialized twice", lineno)
-                if names and name != var_name(len(names)):
+                # n_vars < 26 here: after z, every name was initialized.
+                if name != _NAMES[n_vars]:
                     raise TraceParseError(f"out-of-order variable {name!r}", lineno)
-                events.append(_shared(_init(len(names), value), (line,)))
+                events.append(_shared(_init(n_vars, value), (line,)))
                 names += name
+                n_vars += 1
                 state.append(value)
                 continue
 
@@ -429,7 +442,7 @@ def parse(text: str) -> Trace:
 
         saw_command_or_reveal = True
         try:
-            event, step, lists_more_than_two = _parse_command(line, names)
+            event, step, lists_more_than_two = _parse_command(line, n_vars)
         except _LineError as exc:
             raise TraceParseError(exc.message, lineno, exc.column) from None
         events.append(event)
@@ -440,12 +453,12 @@ def parse(text: str) -> Trace:
     end_line = len(lines) + 1
     if pending_print is not None:
         raise TraceParseError("transcript ends inside a reveal", end_line)
-    if len(names) < 2:
+    if n_vars < 2:
         raise TraceParseError("transcript initializes fewer than two variables", end_line)
     if not n_commands:
         raise TraceParseError("transcript has no command", end_line)
     config = TraceConfig(
-        n_vars=len(names),
+        n_vars=n_vars,
         n_commands=n_commands,
         reveal_spacing=spacing or 1,
         command_kind=FULL_PERMUTATION if full else ELEMENTARY_SWAP,
@@ -473,17 +486,16 @@ class _LineError(Exception):
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _parse_command(
-    line: str, names: str
+    line: str, n: int
 ) -> tuple[TraceEvent, Callable[[Sequence[int]], tuple[int, ...]], bool]:
-    """The command event of ``line`` under the initialized ``names``, the
-    step that applies it to a state, and whether it lists more than two
-    variables (so is a full permutation).
+    """The command event of ``line`` under the first ``n`` variables ``a``,
+    ``b``, ..., the step that applies it to a state, and whether it lists
+    more than two variables (so is a full permutation).
 
-    Memoized: a transcript repeats few distinct command lines. The key holds
-    the names, not only their count, because the first initialized variable
-    need not be ``a``. Errors raise and are never stored, so each one is
-    reported afresh.
+    Memoized: a transcript repeats few distinct command lines. Errors raise
+    and are never stored, so each one is reported afresh.
     """
+    names = _NAMES[:n]
     match = _ASSIGN_RE.match(line)
     if not match:
         raise _LineError(f"unrecognized line {line!r}")
@@ -496,7 +508,6 @@ def _parse_command(
         raise _LineError("left and right sides differ in length")
     if len(set(lhs)) != len(lhs) or len(set(rhs)) != len(rhs):
         raise _LineError("assignment tuple is not bijective")
-    n = len(names)
     if len(lhs) == 2 and len(lhs) < n:
         if rhs != [lhs[1], lhs[0]]:
             raise _LineError("two-variable command must be a swap")

@@ -95,6 +95,25 @@ def test_validation():
         eigenrange_check([])
 
 
+def test_swap_head_shares_one_step_per_argument_triple():
+    step = swap_head(6, 1, 4)
+    assert swap_head(6, 1, 4) is step
+    assert swap_head(6, 4, 1) is not step  # the key's sign differs
+    assert not step.key.flags.writeable
+    with pytest.raises(ValueError):
+        step.key[0] = 1.0
+    # Invalid arguments raise on every call; no failure is stored.
+    before = swap_head.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            swap_head(6, 2, 2)
+        with pytest.raises(ValueError):
+            swap_head(6, 0, 6)
+        with pytest.raises(TypeError):
+            swap_head(6.0, 1, 4)  # not the cached int entry
+    assert swap_head.cache_info().currsize == before
+
+
 def test_empty_recurrence_returns_start():
     h0 = np.arange(9.0).reshape(3, 3)
     assert np.array_equal(run_recurrence([], h0), h0)

@@ -8,9 +8,11 @@ import pytest
 from revealtrack.automaton import (
     Pfsa,
     Symbol,
+    belief_trajectory,
     belief_update,
     dumps_automaton,
     one_hot,
+    random_automaton,
     reveal_only,
     sample_trajectory,
     transition_only,
@@ -122,6 +124,42 @@ def test_decode_matches_exact_filter_and_telescoping():
     assert measured["decode_error"] <= 1e-9
     assert measured["telescope_error"] <= 1e-9
     assert measured["log_mass_error"] <= 1e-9
+
+
+def per_step_oracle_measurements(runs, max_m, steps, seed):
+    """The oracle check as first written: decode, survival and error fold
+    at every step."""
+    rng = np.random.default_rng(seed)
+    decode_error = 0.0
+    telescope_error = 0.0
+    log_mass_error = 0.0
+    for _ in range(runs):
+        m = int(rng.integers(2, max_m + 1))
+        a = random_automaton(m, int(rng.integers(2, 4)), rng)
+        symbols = sample_trajectory(a, steps, rng).symbols
+        exact = belief_trajectory(a, symbols)
+        state = joint_init(one_hot(a.m, a.q0))
+        belief = joint_decode(state)
+        log_product = 0.0
+        for t, s in enumerate(symbols, start=1):
+            log_product += math.log(survival(a, belief, s))
+            state = joint_step(state, a, s)
+            belief = joint_decode(state)
+            decode_error = np.maximum(decode_error, np.abs(belief - exact[t]).max())
+        product = math.exp(log_product)
+        telescope_error = np.maximum(telescope_error, abs(state.mass - product) / product)
+        log_mass_error = np.maximum(log_mass_error, abs(state.log_mass - log_product))
+    return {"decode_error": decode_error, "telescope_error": telescope_error, "log_mass_error": log_mass_error}
+
+
+@pytest.mark.parametrize("max_m", (2, 5, 8))
+def test_oracle_check_folds_the_same_bits_as_a_per_step_loop(max_m):
+    for seed in (1, 20260810, 99):
+        measured = check_oracle_equivalence(runs=25, max_m=max_m, steps=40, seed=seed).measured
+        expected = per_step_oracle_measurements(25, max_m, 40, seed)
+        assert measured.keys() == expected.keys()
+        for key, value in expected.items():
+            assert measured[key] == value, key  # bit for bit, not within a tolerance
 
 
 def test_gated_reset():

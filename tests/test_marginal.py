@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from revealtrack.checks import (
+    _random_mixture,
     check_kronecker,
     check_marginal_bridge,
     check_sinkhorn,
@@ -23,6 +24,7 @@ from revealtrack.marginal import (
     sinkhorn_project,
     vectorized_step,
 )
+from revealtrack.joint import mixture_symbol, placement_reveal_symbol
 from revealtrack.perm import Permutation, identity, sample_uniform, symmetric_group, to_matrix, transposition
 
 HALF_SWAP_12 = MixSpec(((identity(3), 0.5), (transposition(3, 1, 2), 0.5)))
@@ -270,3 +272,155 @@ def test_joint_to_marginal_is_doubly_stochastic_on_distributions():
 def test_mixing_bridge_joint_vs_marginal():
     measured = check_marginal_bridge(runs=40, max_n=4, steps=20, seed=2025).measured
     assert measured["mixing_error"] <= 1e-9  # every step of every run
+
+
+def bincount_marginal(b, n):
+    """``joint_to_marginal`` as first written: one ``np.bincount`` per
+    element, which adds the arrangements in lex order."""
+    positions = np.array([c.mapping for c in symmetric_group(n)]).T
+    out = np.empty((n, n))
+    for element in range(n):
+        out[:, element] = np.bincount(positions[element], weights=b, minlength=n)
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_stacked_joint_to_marginal_keeps_every_bit(n):
+    rng = np.random.default_rng(40 + n)
+    m = len(symmetric_group(n))
+    stack = rng.dirichlet(np.ones(m), size=6)
+    stack[stack < np.quantile(stack, 0.4)] = 0.0  # zero entries, one row all zero
+    stack[1] = 0.0
+    stack[2] *= 1e-300  # subnormal sums
+    stack[3, :] = np.where(np.arange(m) % 2, -0.0, stack[3])
+    got = joint_to_marginal(stack, n)
+    assert got.shape == (6, n, n)
+    for k, b in enumerate(stack):
+        expected = bincount_marginal(b, n)
+        alone = joint_to_marginal(b, n)
+        assert np.array_equal(alone, expected) and np.array_equal(got[k], expected)
+        assert np.array_equal(np.signbit(alone), np.signbit(expected))
+    deeper = joint_to_marginal(stack.reshape(2, 3, m), n)
+    assert deeper.shape == (2, 3, n, n) and np.array_equal(deeper.reshape(6, n, n), got)
+    with pytest.raises(ValueError):
+        joint_to_marginal(stack[:, 1:], n)
+
+
+def per_step_bridge_measurements(runs, max_n, steps, seed):
+    """The marginal-bridge check as first written, mixing error folded at
+    every step, with ``bincount_marginal`` as the collapse."""
+    rng = np.random.default_rng(seed)
+    mixing_error = 0.0
+    for _ in range(runs):
+        n = int(rng.integers(2, max_n + 1))
+        group = symmetric_group(n)
+        b = np.zeros(len(group))
+        b[0] = 1.0
+        h = marginal_init(n)
+        for _ in range(steps):
+            components = _random_mixture(rng, group, min(4, len(group)))
+            b = mixture_symbol(n, components, action="position").apply(b)
+            h = marginal_mix(h, MixSpec(components))
+            mixing_error = np.maximum(mixing_error, np.abs(h - bincount_marginal(b, n)).max())
+
+    group = symmetric_group(3)
+    prefixes = [np.eye(6)[0]]
+    for _ in range(50):
+        b = np.eye(6)[0]
+        for _ in range(int(rng.integers(1, 7))):
+            components = _random_mixture(rng, group, 3)
+            b = mixture_symbol(3, components, action="position").apply(b)
+        prefixes.append(b)
+    targets = [
+        (RevealSpec(position, element), placement_reveal_symbol(3, position, element).mask)
+        for position in range(3)
+        for element in range(3)
+    ]
+    leak = 0.0
+    reveals = 0
+    for b in prefixes:
+        h = bincount_marginal(b, 3)
+        for reveal, mask in targets:
+            mass = float((mask * b).sum())
+            if mass <= 0.0:
+                continue
+            posterior = bincount_marginal(mask * b / mass, 3)
+            leak = np.maximum(leak, posterior[marginal_reveal(h, reveal) == 0.0].max())
+            reveals += 1
+    return {"mixing_error": mixing_error, "support_leak": leak, "reveals": reveals}
+
+
+@pytest.mark.parametrize("max_n", (2, 4, 5))
+def test_bridge_check_folds_the_same_bits_as_a_per_step_loop(max_n):
+    for seed in (3, 20260811):
+        measured = check_marginal_bridge(runs=12, max_n=max_n, steps=20, seed=seed).measured
+        assert measured == per_step_bridge_measurements(12, max_n, 20, seed)  # bit for bit
+
+
+def per_sweep_sinkhorn(state, max_iters=1000, tol=1e-9):
+    """``sinkhorn_project`` as first written: every check and residual takes
+    its own row and column sums."""
+    h = np.asarray(state, dtype=float).copy()
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"expected a square matrix, got {h.shape}")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("Sinkhorn input must be finite")
+    if np.any(h < 0):
+        raise ValueError("Sinkhorn input must be nonnegative")
+    if np.any(h.sum(axis=1) == 0) or np.any(h.sum(axis=0) == 0):
+        raise NoSupportError("input has an all-zero row or column")
+    residual = birkhoff_residual(h)
+    if residual <= tol:
+        return h, 0, residual, True
+    for iteration in range(1, max_iters + 1):
+        h /= h.sum(axis=1, keepdims=True)
+        h /= h.sum(axis=0, keepdims=True)
+        residual = birkhoff_residual(h)
+        if residual <= tol:
+            return h, iteration, residual, True
+    return h, max_iters, residual, False
+
+
+def outcome(project, state, **kwargs):
+    try:
+        result = project(state, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    if project is sinkhorn_project:
+        result = (result.matrix, result.iterations, result.residual, result.converged)
+    matrix, iterations, residual, converged = result
+    # Bytes, so that a NaN residual compares equal to itself.
+    return matrix.tobytes(), matrix.shape, iterations, np.float64(residual).tobytes(), converged
+
+
+def sinkhorn_inputs():
+    rng = np.random.default_rng(71)
+    for n in range(1, 8):
+        for _ in range(4):
+            yield rng.random((n, n)) + 1e-3
+            sparse = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
+            yield sparse + np.eye(n)[rng.permutation(n)]  # keeps total support
+            yield sparse  # may lack total support, or have a zero line
+    yield np.array([[1.0, 1.0], [0.0, 1.0]])  # no total support: exhausts the budget
+    yield np.diag([1.0, 1.0, 0.5])
+    yield np.eye(4)
+    yield [[2.0, 1.0], [1.0, 2.0]]  # a list
+    yield np.array([[1e308, 1e308], [1.0, 1.0]])  # row sums overflow to inf
+    # Errors, each input faulty in more than one way to pin their order.
+    yield np.array([[np.nan, -1.0], [0.0, 0.0]])  # non-finite before negative
+    yield np.array([[np.inf, 1.0], [1.0, 1.0]])
+    yield np.array([[-1.0, 0.0], [0.0, 1.0]])  # negative before zero line
+    yield np.array([[1.0, 1.0], [0.0, 0.0]])  # zero row
+    yield np.array([[1.0, 0.0], [1.0, 0.0]])  # zero column
+    yield np.zeros((0, 0))  # no lines at all
+    yield np.array([[np.nan, -1.0, 0.0]])  # non-square before non-finite
+    yield np.ones(3)
+    yield np.ones((2, 2, 2))
+
+
+def test_sinkhorn_keeps_the_per_sweep_results_and_errors():
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflowing input
+        for state in sinkhorn_inputs():
+            for kwargs in ({"max_iters": 100}, {"max_iters": 0}, {"max_iters": 3}, {"tol": 1e-3}):
+                expected = outcome(per_sweep_sinkhorn, state, **kwargs)
+                assert outcome(sinkhorn_project, state, **kwargs) == expected

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from collections import Counter
 
 import numpy as np
@@ -370,8 +371,8 @@ def test_parse_spans_after_a_leading_zero():
         (">>> a = 1\n>>> print('a', a)\n", ("line 3, column 1: transcript ends inside a reveal", 3, 1)),
         # Has no command, and initializes only one variable.
         (">>> a = 1\n>>> print('a', a)\na 1\n", ("line 4, column 1: transcript initializes fewer than two variables", 4, 1)),
-        # Its first variable is not a, so the command's names are unknown.
-        (">>> c = 1\n>>> a, b = b, a\n", ("line 2, column 5: unknown variable 'a'", 2, 5)),
+        # Its first variable is not a, then the command names unknown a.
+        (">>> c = 1\n>>> a, b = b, a\n", ("line 1, column 1: out-of-order variable 'c'", 1, 1)),
         # A wrong output name, then an unknown variable.
         (
             ">>> a = 1\n>>> b = 2\n>>> print('a', a)\nb 1\n>>> a, z = z, a\n",
@@ -461,6 +462,51 @@ def test_parse_errors():
     except TraceParseError as exc:
         err = exc
     assert err.line == 4
+
+
+def test_parse_checks_the_first_name():
+    # The first variable must be a: without that check this parsed as a
+    # two-variable trace whose var 0 prints as z.
+    with pytest.raises(TraceParseError) as info:
+        parse(">>> z = 1\n>>> b = 2\n>>> z, b = b, z\n")
+    assert (str(info.value), info.value.line, info.value.column) == (
+        "line 1, column 1: out-of-order variable 'z'",
+        1,
+        1,
+    )
+    # The same command line parses under a and b, and is memoized by the
+    # line and the variable count.
+    assert parse(">>> a = 1\n>>> b = 2\n>>> a, b = b, a\n").final_state == (2, 1)
+
+
+LONG = "7" * 5000  # past the default limit of 4300 digits
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        (f">>> a = {LONG}\n>>> b = 2\n>>> a, b = b, a\n", (1, 9)),
+        (f">>> a = 1\n>>> b = 2\n>>> a, b = b, a\n>>> print('a', a)\na {LONG}\n", (5, 3)),
+    ],
+    ids=["init", "output"],
+)
+def test_parse_rejects_a_value_past_the_digit_limit(text, position):
+    with pytest.raises(TraceParseError, match="Exceeds the limit") as info:
+        parse(text)
+    assert (info.value.line, info.value.column) == position
+
+
+def test_parse_follows_the_interpreter_digit_limit():
+    value = "7" * 700
+    text = f">>> a = {value}\n>>> b = 2\n>>> a, b = b, a\n"
+    assert parse(text).final_state == (2, int(value))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(TraceParseError, match="line 1, column 9: Exceeds the limit"):
+            parse(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_parse_reconstructs_metadata():
