@@ -73,13 +73,11 @@ from .perm import (
     apply,
     check_mixture,
     compose,
-    format_permutation,
     identity,
     inverse,
     lex_index,
     lex_indices,
     one_line_table,
-    parse_permutation,
     sample_uniform,
     symmetric_group,
     to_matrix,

@@ -1,10 +1,12 @@
 """Named self-checks wired to the ``verify`` CLI command.
 
 Each check replays a construction or property at a configurable size and
-returns a pass/fail result with a one-line detail and the numbers it
-measured. The ``verify`` command prints one line per check and exits
+returns a ``CheckResult``: a one-line detail, the numbers it measured, and
+its bounds as data, one ``(key, relation, limit)`` triple per condition on
+a measured value. ``CheckResult.passed`` is the one place a pass is
+decided. The ``verify`` command prints one line per check and exits
 nonzero if any fails; ``tests/test_acceptance.py`` runs the same checks at
-its own sizes and pins every tolerance on ``CheckResult.measured``.
+its own sizes and asserts ``passed``, so each bound is stated once, here.
 
 Worst-case errors are folded with ``np.maximum``, which keeps a NaN that
 the builtin ``max`` would drop.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,16 +38,30 @@ from .automaton import (
 from .perm import Permutation, compose, identity, lex_index, symmetric_group, to_matrix, transposition
 
 
+def _equal(value, limit) -> bool:
+    if isinstance(value, np.ndarray) or isinstance(limit, np.ndarray):
+        return np.array_equal(value, limit)
+    return value == limit
+
+
+# Every comparison is False for a NaN, so a NaN fails every relation.
+_RELATIONS = {"<=": operator.le, ">=": operator.ge, "==": _equal}
+
+
 @dataclass(frozen=True)
 class CheckResult:
+    """A check's outcome: ``bounds`` is a tuple of ``(key, relation,
+    limit)``, where ``relation`` is ``"<="``, ``">="`` or ``"=="`` and
+    ``measured[key]`` is the value held to ``limit``."""
+
     name: str
-    passed: bool
     detail: str
     measured: dict
+    bounds: tuple
 
-
-def _result(name: str, passed: bool, detail: str, measured: dict) -> CheckResult:
-    return CheckResult(name, bool(passed), detail, measured)
+    @property
+    def passed(self) -> bool:
+        return all(_RELATIONS[relation](self.measured[key], limit) for key, relation, limit in self.bounds)
 
 
 def check_absorbing_decay(cycles: int = 20) -> CheckResult:
@@ -59,11 +76,11 @@ def check_absorbing_decay(cycles: int = 20) -> CheckResult:
         inexact_norms += state.mass != 2.0 ** -cycle
         decode_gap = np.abs(jt.joint_decode(state) - expected_belief).max()
         decode_error = np.maximum(decode_error, decode_gap)
-    return _result(
+    return CheckResult(
         "joint-absorbing-decay",
-        inexact_norms == 0 and decode_error <= 1e-15,
         f"inexact norms {inexact_norms}, max decode error {decode_error:.2e} over {cycles} cycles",
         {"inexact_norms": inexact_norms, "decode_error": decode_error},
+        (("inexact_norms", "==", 0), ("decode_error", "<=", 1e-15)),
     )
 
 
@@ -83,11 +100,11 @@ def check_swap_reveal_decay() -> CheckResult:
         states.append(h)
     exact = sum(np.array_equal(got, want) for got, want in zip(states, expected))
     floors = [float(states[k][2, 2]) for k in (1, 3, 5)]
-    return _result(
+    return CheckResult(
         "marginal-swap-reveal-decay",
-        exact == len(expected) and floors == [0.5, 0.25, 0.125],
         f"{exact}/{len(expected)} matrices exact, unrevealed entry follows {floors}",
         {"exact_matrices": exact, "floors": floors},
+        (("exact_matrices", "==", len(expected)), ("floors", "==", [0.5, 0.25, 0.125])),
     )
 
 
@@ -98,18 +115,17 @@ def check_noisy_swap_example() -> CheckResult:
     h1_expected = np.zeros(6)
     h1_expected[lex_index(Permutation((1, 0, 2)))] = 0.5
     h1_expected[lex_index(Permutation((2, 1, 0)))] = 0.5
-    ok1 = np.array_equal(swapped.h, h1_expected)
     observed = jt.joint_step(swapped, a, a.symbol_index("observe"))
     h2_expected = np.zeros(6)
     h2_expected[lex_index(Permutation((2, 1, 0)))] = 0.5
-    ok2 = np.array_equal(observed.h, h2_expected)
     reset = jt.gated_reset(observed, np.full(6, 1.0 / 6.0))
     reset_error = np.abs(reset.h - 1.0 / 6.0).max()
-    return _result(
+    return CheckResult(
         "noisy-swap-worked-example",
-        ok1 and ok2 and reset_error <= 1e-15,
-        f"h1 exact={ok1}, h2 exact={ok2}, uniform reset error {reset_error:.2e}",
+        f"h1 exact={_equal(swapped.h, h1_expected)}, h2 exact={_equal(observed.h, h2_expected)}, "
+        f"uniform reset error {reset_error:.2e}",
         {"h1": swapped.h, "h2": observed.h, "reset_error": reset_error},
+        (("h1", "==", h1_expected), ("h2", "==", h2_expected), ("reset_error", "<=", 1e-15)),
     )
 
 
@@ -118,16 +134,11 @@ def check_hidden_swap_belief() -> CheckResult:
     b0 = one_hot(2, a.q0)
     b1 = belief_update(a, b0, a.symbol_index("swap"))
     b2 = belief_update(a, b1, a.symbol_index("check"))
-    ok = (
-        np.array_equal(b0, [1.0, 0.0])
-        and np.array_equal(b1, [0.5, 0.5])
-        and np.array_equal(b2, [1.0, 0.0])
-    )
-    return _result(
+    return CheckResult(
         "hidden-swap-belief",
-        ok,
         f"trajectory {b0} -> {b1} -> {b2}",
         {"b0": b0, "b1": b1, "b2": b2},
+        (("b0", "==", [1.0, 0.0]), ("b1", "==", [0.5, 0.5]), ("b2", "==", [1.0, 0.0])),
     )
 
 
@@ -161,9 +172,8 @@ def check_oracle_equivalence(
         product = math.exp(log_product)
         telescope_error = np.maximum(telescope_error, abs(state.mass - product) / product)
         log_mass_error = np.maximum(log_mass_error, abs(state.log_mass - log_product))
-    return _result(
+    return CheckResult(
         "joint-oracle-equivalence",
-        decode_error <= 1e-9 and telescope_error <= 1e-9 and log_mass_error <= 1e-9,
         f"{runs} runs of {steps} steps: decode err {decode_error:.2e}, "
         f"telescoping err {telescope_error:.2e}, log-mass err {log_mass_error:.2e}",
         {
@@ -171,6 +181,7 @@ def check_oracle_equivalence(
             "telescope_error": telescope_error,
             "log_mass_error": log_mass_error,
         },
+        (("decode_error", "<=", 1e-9), ("telescope_error", "<=", 1e-9), ("log_mass_error", "<=", 1e-9)),
     )
 
 
@@ -222,19 +233,25 @@ def check_marginal_bridge(runs: int = 50, max_n: int = 4, steps: int = 20, seed:
     reveals = 0
     for b in prefixes:
         h = mg.joint_to_marginal(b, 3)
+        consistent, conditioned = [], []
         for reveal, mask in targets:
             mass = float((mask * b).sum())
-            if mass <= 0.0:
-                continue  # observation impossible here
-            posterior = mg.joint_to_marginal(mask * b / mass, 3)
-            leak = np.maximum(leak, posterior[mg.marginal_reveal(h, reveal) == 0.0].max())
-            reveals += 1
-    return _result(
+            if mass > 0.0:  # else the observation is impossible here
+                consistent.append(reveal)
+                conditioned.append(mask * b / mass)
+        # One stacked collapse gives each posterior the bits of its own
+        # call, and a maximum over all zeroed entries is the maximum of
+        # the per-reveal ones.
+        posteriors = mg.joint_to_marginal(np.array(conditioned), 3)
+        zeroed = np.array([mg.marginal_reveal(h, reveal) == 0.0 for reveal in consistent])
+        leak = np.maximum(leak, posteriors[zeroed].max())
+        reveals += len(consistent)
+    return CheckResult(
         "marginal-joint-bridge",
-        mixing_error <= 1e-9 and leak <= 1e-12,
         f"mixing error {mixing_error:.2e} over {runs} runs; "
         f"largest posterior mass on a zeroed entry {leak:.2e} ({reveals} reveals)",
         {"mixing_error": mixing_error, "support_leak": leak, "reveals": reveals},
+        (("mixing_error", "<=", 1e-9), ("support_leak", "<=", 1e-12)),
     )
 
 
@@ -250,12 +267,12 @@ def check_sinkhorn(runs: int = 200, seed: int = 11) -> CheckResult:
         sum_error = np.maximum(sum_error, np.abs(result.matrix.sum(axis=1) - 1.0).max())
     pinned = mg.sinkhorn_project(np.diag([1.0, 1.0, 0.5])).matrix
     identity_ok = np.allclose(pinned, np.eye(3), atol=1e-9)
-    return _result(
+    return CheckResult(
         "sinkhorn-projection",
-        unconverged == 0 and sum_error <= 1e-9 and identity_ok,
         f"{runs} positive matrices: {unconverged} unconverged, row/column sums within "
         f"{sum_error:.2e} of 1; diagonal support -> identity {identity_ok}",
-        {"unconverged": unconverged, "sum_error": sum_error, "pinned": pinned},
+        {"unconverged": unconverged, "sum_error": sum_error, "pinned": pinned, "identity_ok": identity_ok},
+        (("unconverged", "==", 0), ("sum_error", "<=", 1e-9), ("identity_ok", "==", True)),
     )
 
 
@@ -278,11 +295,11 @@ def check_kronecker(runs: int = 200, seed: int = 13) -> CheckResult:
         np.array([[1, 0, 0], [0, 1, 0], [0, 0, 0.5]]),
         atol=1e-12,
     )
-    return _result(
+    return CheckResult(
         "kronecker-vectorization",
-        gap <= 1e-12 and reveal_ok,
         f"{runs} random instances max gap {gap:.2e}; reveal via kron ok={reveal_ok}",
-        {"gap": gap},
+        {"gap": gap, "reveal_ok": reveal_ok},
+        (("gap", "<=", 1e-12), ("reveal_ok", "==", True)),
     )
 
 
@@ -297,11 +314,11 @@ def check_householder_composition(length: int = 256, n: int = 8, seed: int = 17)
     tracked = hh.run_recurrence(steps, np.eye(n))
     gap = np.abs(tracked - to_matrix(cumulative)).max()
     swaps = hh.eigenrange_check(steps)
-    return _result(
+    return CheckResult(
         "householder-composition",
-        gap <= 1e-12 and swaps.min_eig == -1.0 and swaps.has_negative,
         f"{length} swaps in S_{n}: max deviation {gap:.2e}, min eig {swaps.min_eig}",
         {"gap": gap, "min_eig": swaps.min_eig, "has_negative": swaps.has_negative},
+        (("gap", "<=", 1e-12), ("min_eig", "==", -1.0), ("has_negative", "==", True)),
     )
 
 
@@ -316,24 +333,24 @@ def check_eigen_gate(seed: int = 19) -> CheckResult:
         capped.append(hh.HouseholderStep(float(rng.uniform(0.0, 1.0)), key))
     capped_range = hh.eigenrange_check(capped)
     det = float(np.linalg.det(hh.run_recurrence(capped, np.eye(8))))
-    ok = (
-        swap_range.min_eig == -1.0
-        and swap_range.has_negative
-        and capped_range.min_eig >= 0.0
-        and not capped_range.has_negative
-        and det >= -1e-12
-    )
-    return _result(
+    return CheckResult(
         "householder-eigen-gate",
-        ok,
         f"beta=2 min eig {swap_range.min_eig}; capped min eig {capped_range.min_eig:.3f}, "
         f"product det {det:.3e} (a swap needs det -1)",
         {
             "swap_min_eig": swap_range.min_eig,
+            "swap_has_negative": swap_range.has_negative,
             "capped_min_eig": capped_range.min_eig,
             "capped_has_negative": capped_range.has_negative,
             "det": det,
         },
+        (
+            ("swap_min_eig", "==", -1.0),
+            ("swap_has_negative", "==", True),
+            ("capped_min_eig", ">=", 0.0),
+            ("capped_has_negative", "==", False),
+            ("det", ">=", -1e-12),
+        ),
     )
 
 
@@ -343,8 +360,12 @@ def check_state_counts() -> CheckResult:
         "marginal_n10_k10": marginal_discretization_count(10, 10),
         "marginal_n2_k5": marginal_discretization_count(2, 5),
     }
-    ok = counts == {"joint_n3": 64, "marginal_n10_k10": 10**81, "marginal_n2_k5": 5}
-    return _result("discretized-state-counts", ok, "2**3! = 64, 10**81, 5**1 = 5", counts)
+    return CheckResult(
+        "discretized-state-counts",
+        "2**3! = 64, 10**81, 5**1 = 5",
+        counts,
+        (("joint_n3", "==", 64), ("marginal_n10_k10", "==", 10**81), ("marginal_n2_k5", "==", 5)),
+    )
 
 
 def check_trace_roundtrip(count: int = 300, seed: int = 23, max_commands: int = 40) -> CheckResult:
@@ -381,14 +402,17 @@ def check_trace_roundtrip(count: int = 300, seed: int = 23, max_commands: int = 
 
     regenerated = exported(first) == exported(tr.generate(c) for c in configs[:500])
     stages = [(batch[0].n_commands, batch[0].reveal_spacing) for batch in tr.curriculum(stage_samples=1)]
-
-    ok = reparsed and disagreements == 0 and regenerated and stages == [(8, 1), (16, 2), (32, 4), (64, 8)]
-    return _result(
+    return CheckResult(
         "trace-roundtrip",
-        ok,
         f"{count} traces reparsed={reparsed}, reveal disagreements={disagreements}, "
         f"regenerated bytes identical={regenerated}, curriculum stages {stages}",
         {"reparsed": reparsed, "disagreements": disagreements, "regenerated": regenerated, "stages": stages},
+        (
+            ("reparsed", "==", True),
+            ("disagreements", "==", 0),
+            ("regenerated", "==", True),
+            ("stages", "==", [(8, 1), (16, 2), (32, 4), (64, 8)]),
+        ),
     )
 
 
@@ -407,15 +431,8 @@ def check_underflow_threshold(long_cycles: int = 1000) -> CheckResult:
     reset_floor = min(row.l1_norm for row in reset_report.rows)
     joint_cycle = None if joint_first is None else (joint_first + 1) // 2
     marginal_cycle = None if marginal_first is None else (marginal_first + 1) // 2
-    ok = (
-        joint_cycle == 127
-        and marginal_cycle == 127
-        and reset_report.first_underflow_step is None
-        and reset_floor == 2.0 ** -min(8, long_cycles)
-    )
-    return _result(
+    return CheckResult(
         "underflow-threshold",
-        ok,
         f"joint underflow at cycle {joint_cycle}, marginal at {marginal_cycle}, "
         f"with 8-cycle resets none over {long_cycles} cycles (norm floor {reset_floor!r})",
         {
@@ -423,7 +440,15 @@ def check_underflow_threshold(long_cycles: int = 1000) -> CheckResult:
             "marginal_underflow_step": marginal_first,
             "reset_underflow_step": reset_report.first_underflow_step,
             "reset_min_l1": reset_floor,
+            "joint_underflow_cycle": joint_cycle,
+            "marginal_underflow_cycle": marginal_cycle,
         },
+        (
+            ("joint_underflow_cycle", "==", 127),
+            ("marginal_underflow_cycle", "==", 127),
+            ("reset_underflow_step", "==", None),
+            ("reset_min_l1", "==", 2.0 ** -min(8, long_cycles)),
+        ),
     )
 
 

@@ -205,10 +205,11 @@ class _Manifest(dict):
         raise ValueError(f"manifest lacks key {key!r}")
 
 
-def _replay_conditions(manifest: dict, config: dict) -> list[str]:
+def _replay_conditions(manifest: dict, config: dict, input_keys: tuple) -> list[str]:
     """What differs from the run a manifest records: the numpy version and
     the digest of each recorded input. A key the manifest lacks is not
-    checked, so older manifests replay without a warning."""
+    checked, so older manifests replay without a warning; an input that is
+    not one of the command's ``input_keys`` is an error."""
     changed = []
     recorded = manifest.get("numpy")
     if recorded is not None and recorded != np.__version__:
@@ -217,6 +218,8 @@ def _replay_conditions(manifest: dict, config: dict) -> list[str]:
     if not isinstance(inputs, dict):
         raise ValueError("manifest inputs must be a JSON object")
     for key, digest in inputs.items():
+        if key not in input_keys:
+            raise ValueError(f"manifest input {key!r} is not an input file of {manifest['command']}")
         path = Path(config[key])
         if _sha256(path) != digest:
             changed.append(f"input {path} changed since the run")
@@ -254,12 +257,12 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     if not all(isinstance(digest, str) for digest in outputs.values()):
         raise ValueError("manifest outputs must map each file name to a digest string")
     _check_config(command, config)
-    changed = _replay_conditions(manifest, config)
+    run, input_keys = _RUNNERS[command]
+    changed = _replay_conditions(manifest, config, input_keys)
     if changed:
         print("warning: replay may not reproduce the outputs: " + "; ".join(changed), file=sys.stderr)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    run, _input_keys = _RUNNERS[command]
     ok = True
     for name, recorded in outputs.items():
         out = out_dir / name

@@ -33,6 +33,8 @@ class HouseholderStep:
         key = np.asarray(self.key, dtype=float).copy()
         if key.ndim != 1:
             raise ValueError("key must be a vector")
+        if not np.all(np.isfinite(key)):
+            raise ValueError(f"key {key} is not finite")
         norm = np.linalg.norm(key)
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"key norm {norm!r} is not 1 within 1e-12")

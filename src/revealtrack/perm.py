@@ -15,9 +15,6 @@ Conventions used throughout the package:
 - Randomness always comes from an explicit ``numpy.random.Generator``
   (PCG64 via ``numpy.random.default_rng(seed)``); callers own their
   generators and record the 64-bit seed.
-
-The textual format for a permutation is comma-separated one-line notation,
-e.g. ``"2,0,1"``.
 """
 
 from __future__ import annotations
@@ -128,19 +125,6 @@ def check_mixture(components: Sequence[tuple[Permutation, float]]) -> tuple[int,
     if len(sizes) != 1:
         raise ValueError("mixture components act on different sizes")
     return sizes.pop(), weights
-
-
-def format_permutation(p: Permutation) -> str:
-    """Comma-separated one-line notation, e.g. '2,0,1'."""
-    return ",".join(str(v) for v in p.mapping)
-
-
-def parse_permutation(text: str) -> Permutation:
-    try:
-        values = tuple(int(part) for part in text.strip().split(","))
-    except ValueError as exc:
-        raise ValueError(f"malformed permutation text {text!r}") from exc
-    return Permutation(values)
 
 
 @lru_cache(maxsize=None)

@@ -2,12 +2,16 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines. Every criterion runs the ``revealtrack.checks`` function that
-``verify`` runs, at this suite's sizes, and pins every tolerance on its
-measured numbers.
+``verify`` runs, at this suite's sizes, and asserts that its result passed:
+each bound is stated once, on the result. The assertions that remain here
+test what ``verify`` does not: the CLI's CSV output, wall time, and the
+worked example in its own numbering.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import time
 from contextlib import contextmanager
 
@@ -43,16 +47,16 @@ def test_c01_joint_absorbing_decay(tmp_path):
             step = int(row[0])
             assert float(row[2]) == 2.0 ** -(step // 2)  # bitwise: halving is exact
 
-        measured = checks.check_absorbing_decay(cycles=20).measured
-        assert measured["inexact_norms"] == 0  # mass == 2**-cycle bitwise after every reveal
-        assert measured["decode_error"] <= 1e-15
+        result = checks.check_absorbing_decay(cycles=20)
+        assert result.passed, result.detail
         assert time.perf_counter() - started < 1.0
 
 
 def test_c02_marginal_swap_reveal_decay(tmp_path):
     with criterion("C02", "marginal swap/reveal cycle: five exact matrices, floors .5/.25/.125"):
         started = time.perf_counter()
-        assert checks.check_swap_reveal_decay().measured["exact_matrices"] == 5  # entrywise exact
+        result = checks.check_swap_reveal_decay()
+        assert result.passed, result.detail
 
         out = tmp_path / "marginal.csv"
         assert main(["decay", "--scenario", "marginal-swap-reveal", "--cycles", "3", "--out", str(out)]) == 0
@@ -64,80 +68,78 @@ def test_c02_marginal_swap_reveal_decay(tmp_path):
 
 def test_c03_three_item_worked_example():
     with criterion("C03", "six-state noisy swap: h1/h2 exact, uniform reset to 1/6"):
-        measured = checks.check_noisy_swap_example().measured
+        result = checks.check_noisy_swap_example()
+        assert result.passed, result.detail
+        # The check states h1 and h2 through lex_index; these restate them
+        # in the worked example's own numbering, which does not go through it.
+        measured = result.measured
         assert np.array_equal(measured["h1"][ARRANGEMENT_ORDER], [0.0, 0.5, 0.5, 0.0, 0.0, 0.0])
         assert np.array_equal(measured["h2"][ARRANGEMENT_ORDER], [0.0, 0.0, 0.5, 0.0, 0.0, 0.0])
-        assert measured["reset_error"] <= 1e-15
 
 
 def test_c04_hidden_swap_belief_collapse():
     with criterion("C04", "conditional swap: belief [1,0] -> [.5,.5] -> [1,0] exact"):
-        measured = checks.check_hidden_swap_belief().measured
-        assert np.array_equal(measured["b0"], [1.0, 0.0])
-        assert np.array_equal(measured["b1"], [0.5, 0.5])
-        assert np.array_equal(measured["b2"], [1.0, 0.0])
+        result = checks.check_hidden_swap_belief()
+        assert result.passed, result.detail
 
 
 def test_c05_oracle_equivalence_property():
     with criterion("C05", "1000 random automata: decode matches exact filter, mass telescopes"):
         started = time.perf_counter()
         result = checks.check_oracle_equivalence(runs=1000, max_m=5, steps=40, seed=20260810)
-        measured = result.measured
-        assert measured["decode_error"] <= 1e-9  # worst step of every run
-        assert measured["telescope_error"] <= 1e-9  # relative to the survival product
+        assert result.passed, result.detail
         elapsed = time.perf_counter() - started
         assert elapsed < 30.0, f"oracle property took {elapsed:.1f}s"
+        # A zero survival would stop the check with a math domain error.
+        result = checks.check_oracle_equivalence(runs=200, max_m=5, steps=40, seed=2024)
+        assert result.passed, result.detail
 
 
 def test_c06_marginal_joint_bridge():
     with criterion("C06", "mixing-only bridge to 1e-9; reveal zero-set containment (n=3 exhaustive)"):
-        # 60 mixing-only runs of 20 steps for n <= 4, compared at every
-        # step; then all nine reveal targets for n = 3 on the identity state
-        # and 50 mixed ones
-        measured = checks.check_marginal_bridge(runs=60, max_n=4, steps=20, seed=99).measured
-        assert measured["mixing_error"] <= 1e-9
-        assert measured["support_leak"] <= 1e-12
+        # mixing-only runs of 20 steps for n <= 4, compared at every step;
+        # then all nine reveal targets for n = 3 on the identity state and
+        # 50 mixed ones
+        for runs, seed in ((60, 99), (40, 2025)):
+            result = checks.check_marginal_bridge(runs=runs, max_n=4, steps=20, seed=seed)
+            assert result.passed, result.detail
 
 
 def test_c07_sinkhorn_projection():
     with criterion("C07", "Sinkhorn: 1000 positive 5x5 to 1e-9; diag(1,1,.5) -> identity"):
-        measured = checks.check_sinkhorn(runs=1000, seed=7).measured
-        assert measured["unconverged"] == 0
-        assert measured["sum_error"] <= 1e-9  # worst row or column sum of every matrix
-        assert np.allclose(measured["pinned"], np.eye(3), atol=1e-9)
+        for seed in (7, 13):
+            result = checks.check_sinkhorn(runs=1000, seed=seed)
+            assert result.passed, result.detail
 
 
 def test_c08_vectorized_step_identity():
     with criterion("C08", "Kronecker-vectorized step equals bilinear step to 1e-12 (1000 cases)"):
-        assert checks.check_kronecker(runs=1000, seed=8).measured["gap"] <= 1e-12
+        for seed in (8, 9):
+            result = checks.check_kronecker(runs=1000, seed=seed)
+            assert result.passed, result.detail
 
 
 def test_c09_householder_permutation_tracking():
     with criterion("C09", "256 swap gates in S_8 track composition to 1e-12; eigen gates"):
         for seed in range(9, 14):
-            measured = checks.check_householder_composition(length=256, n=8, seed=seed).measured
-            assert measured["gap"] <= 1e-12
-            assert measured["min_eig"] == -1.0 and measured["has_negative"]
+            result = checks.check_householder_composition(length=256, n=8, seed=seed)
+            assert result.passed, result.detail
 
-        measured = checks.check_eigen_gate(seed=14).measured
-        assert measured["capped_min_eig"] >= 0.0 and not measured["capped_has_negative"]
+        result = checks.check_eigen_gate(seed=14)
+        assert result.passed, result.detail
 
 
 def test_c10_discretized_state_counts():
     with criterion("C10", "exact big-integer state counts"):
-        measured = checks.check_state_counts().measured
-        assert measured["marginal_n10_k10"] == 10**81
-        assert measured["joint_n3"] == 64
+        result = checks.check_state_counts()
+        assert result.passed, result.detail
 
 
 def test_c11_trace_pipeline():
     with criterion("C11", "10,000 traces round-trip; curriculum quadruples; byte-identical regen"):
         started = time.perf_counter()
-        measured = checks.check_trace_roundtrip(count=10_000, seed=11, max_commands=64).measured
-        assert measured["reparsed"]  # parsed.events == trace.events for every trace
-        assert measured["disagreements"] == 0
-        assert measured["stages"] == [(8, 1), (16, 2), (32, 4), (64, 8)]
-        assert measured["regenerated"]  # the first 500 regenerate to the same export bytes
+        result = checks.check_trace_roundtrip(count=10_000, seed=11, max_commands=64)
+        assert result.passed, result.detail
         elapsed = time.perf_counter() - started
         assert elapsed < 60.0, f"trace pipeline took {elapsed:.1f}s"
 
@@ -164,10 +166,21 @@ def test_c11_detects_nondeterministic_generate(monkeypatch):
 
 def test_c12_underflow_threshold_and_reset_stability():
     with criterion("C12", "single-precision underflow at cycle 127; resets keep 1e4 cycles alive"):
-        measured = checks.check_underflow_threshold(long_cycles=10_000).measured
-        first_step = measured["joint_underflow_step"]
-        assert first_step is not None
-        assert (first_step + 1) // 2 == 127
+        result = checks.check_underflow_threshold(long_cycles=10_000)
+        assert result.passed, result.detail
 
-        assert measured["reset_underflow_step"] is None
-        assert measured["reset_min_l1"] == 2.0**-8
+
+def test_every_check_carries_its_bounds_as_data():
+    for result in checks.run_all(runs=2, max_n=3, steps=3, trace_count=2):
+        assert result.passed, result.detail
+        assert result.bounds, result.name
+        for key, relation, limit in result.bounds:
+            assert key in result.measured, (result.name, key)
+            assert relation in ("<=", ">=", "=="), (result.name, relation)
+            failing = [math.nan]  # NaN fails every relation
+            if relation != "==":
+                assert isinstance(result.measured[key], float), (result.name, key)
+                failing.append(math.nextafter(limit, math.inf if relation == "<=" else -math.inf))
+            for value in failing:
+                broken = dataclasses.replace(result, measured={**result.measured, key: value})
+                assert not broken.passed, (result.name, key, value)

@@ -30,7 +30,6 @@ from revealtrack.automaton import (
     validate_belief,
     write_automaton,
 )
-from revealtrack.checks import check_hidden_swap_belief
 from revealtrack.perm import compose, identity, sample_uniform, to_matrix
 from revealtrack.scenarios import hidden_swap_automaton
 
@@ -88,12 +87,6 @@ def test_belief_update_matches_scaled_forward_pass():
         symbols = sample_trajectory(a, 50, rng).symbols
         gap = np.abs(belief_trajectory(a, symbols) - scaled_forward_messages(a, symbols)).max()
         assert gap <= 1e-9
-
-
-def test_hidden_swap_belief_collapse():
-    measured = check_hidden_swap_belief().measured
-    assert np.array_equal(measured["b1"], [0.5, 0.5])
-    assert np.array_equal(measured["b2"], [1.0, 0.0])
 
 
 def test_vacuous_reveal_is_identity():

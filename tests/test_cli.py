@@ -446,7 +446,12 @@ def test_integer_flag_above_its_maximum_names_the_flag(tmp_path, capsys):
 
 
 def test_verify_injected_fault(capsys, monkeypatch):
-    failing = checks.CheckResult("underflow-threshold", False, "deliberate failure", {})
+    failing = checks.CheckResult(
+        "underflow-threshold",
+        "deliberate failure",
+        {"joint_underflow_cycle": 126},
+        (("joint_underflow_cycle", "==", 127),),
+    )
     monkeypatch.setattr(checks, "check_underflow_threshold", lambda: failing)
     assert main(["verify", "--runs", "5", "--trace-count", "5"]) == 1
     assert "FAIL underflow-threshold: deliberate failure" in capsys.readouterr().out
@@ -658,3 +663,9 @@ def test_replay_checks_the_command_and_digests_first(tmp_path, capsys):
     assert (code, err) == (2, "error: manifest command ['decay'] is not replayable\n")
     code, err = _replay_edited(tmp_path, capsys, DECAY_ARGV, lambda m: m.update(outputs={"out": 7}))
     assert (code, err) == (2, "error: manifest outputs must map each file name to a digest string\n")
+
+
+def test_replay_rejects_an_input_the_command_does_not_read(tmp_path, capsys):
+    code, err = _replay_edited(tmp_path, capsys, GEN_ARGV, lambda m: m.update(inputs={"seed": "00"}))
+    assert (code, err) == (2, "error: manifest input 'seed' is not an input file of gen-traces\n")
+    assert not (tmp_path / "again").exists()

@@ -9,11 +9,9 @@ from revealtrack.perm import (
     Permutation,
     apply,
     compose,
-    format_permutation,
     identity,
     inverse,
     lex_index,
-    parse_permutation,
     sample_uniform,
     symmetric_group,
     to_matrix,
@@ -163,20 +161,6 @@ def test_sample_uniform_always_valid():
     rng = np.random.default_rng(5)
     for _ in range(100_000):
         sample_uniform(6, rng)  # constructor validates bijectivity
-
-
-def test_text_format_roundtrip():
-    p = Permutation((2, 0, 1))
-    assert format_permutation(p) == "2,0,1"
-    assert parse_permutation("2,0,1") == p
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        q = sample_uniform(6, rng)
-        assert parse_permutation(format_permutation(q)) == q
-    with pytest.raises(ValueError):
-        parse_permutation("2,0,x")
-    with pytest.raises(ValueError):
-        parse_permutation("0,0,1")
 
 
 def test_symmetric_group_enumeration():
