@@ -255,14 +255,14 @@ def transition_only(m: int, transition, name: str = "step") -> Symbol:
     return sym
 
 
-def _mixture_violations(t: PermutationMixture, atol: float) -> list[str]:
+def _mixture_violations(t: PermutationMixture) -> list[str]:
     out = []
     w = t.weights
     if not np.all(np.isfinite(w)):
         out.append("mixture weights are non-finite")
     elif np.any(w < 0):
         out.append("mixture has negative weights")
-    elif abs(w.sum() - 1.0) > atol:
+    elif abs(w.sum() - 1.0) > _SIMPLEX_ATOL:
         out.append(f"mixture weights sum to {w.sum()!r}, expected 1")
     m = t.shape[0]
     for g, src in enumerate(t.sources):
@@ -271,7 +271,7 @@ def _mixture_violations(t: PermutationMixture, atol: float) -> list[str]:
     return out
 
 
-def _column_violations(t: np.ndarray, atol: float = _SIMPLEX_ATOL) -> list[str]:
+def _column_violations(t: np.ndarray) -> list[str]:
     if not np.all(np.isfinite(t)):
         return ["transition matrix has non-finite entries"]
     out = []
@@ -279,12 +279,12 @@ def _column_violations(t: np.ndarray, atol: float = _SIMPLEX_ATOL) -> list[str]:
         out.append("transition matrix has negative entries")
     sums = t.sum(axis=0)
     worst = np.argmax(np.abs(sums - 1.0))
-    if abs(sums[worst] - 1.0) > atol:
+    if abs(sums[worst] - 1.0) > _SIMPLEX_ATOL:
         out.append(f"column {worst} sums to {sums[worst]!r}, expected 1")
     return out
 
 
-def validate(a: Pfsa, atol: float = _SIMPLEX_ATOL) -> list[str]:
+def validate(a: Pfsa) -> list[str]:
     """Check automaton invariants; returns a list of violations (empty = ok)."""
     problems: list[str] = []
     if not 0 <= a.q0 < a.m:
@@ -292,7 +292,7 @@ def validate(a: Pfsa, atol: float = _SIMPLEX_ATOL) -> list[str]:
     for idx, sym in enumerate(a.symbols):
         t = sym.transition
         check = _mixture_violations if isinstance(t, PermutationMixture) else _column_violations
-        for msg in check(t, atol):
+        for msg in check(t):
             problems.append(f"symbol {sym.name!r}: {msg}")
         if not sym.reveal:
             problems.append(f"symbol {sym.name!r}: reveal set is empty")
@@ -301,7 +301,7 @@ def validate(a: Pfsa, atol: float = _SIMPLEX_ATOL) -> list[str]:
     return problems
 
 
-def validate_belief(b: np.ndarray, m: int, atol: float = _SIMPLEX_ATOL) -> list[str]:
+def validate_belief(b: np.ndarray, m: int) -> list[str]:
     """Check that b is a probability vector over m states."""
     problems = []
     b = np.asarray(b)
@@ -312,7 +312,7 @@ def validate_belief(b: np.ndarray, m: int, atol: float = _SIMPLEX_ATOL) -> list[
         return ["belief has non-finite entries"]
     if np.any(b < 0):
         problems.append("belief has negative entries")
-    if abs(b.sum() - 1.0) > atol:
+    if abs(b.sum() - 1.0) > _SIMPLEX_ATOL:
         problems.append(f"belief sums to {b.sum()!r}")
     return problems
 
@@ -339,15 +339,15 @@ def belief_update(a: Pfsa, b: np.ndarray, symbol: int) -> np.ndarray:
     return v / mass
 
 
-def belief_trajectory(a: Pfsa, symbols, b0: np.ndarray | None = None) -> np.ndarray:
+def belief_trajectory(a: Pfsa, symbols) -> np.ndarray:
     """Beliefs along a symbol sequence; row t is the belief after t symbols.
 
-    Row 0 is the initial belief (one-hot at q0 unless ``b0`` is given).
+    Row 0 is the initial belief, one-hot at q0.
     This per-step-normalized filter is the reference the deferred-
     normalization trackers are measured against. Each row is the fresh
     array ``belief_update`` returns, copied once into the stacked result.
     """
-    b = one_hot(a.m, a.q0) if b0 is None else np.asarray(b0, dtype=float)
+    b = one_hot(a.m, a.q0)
     rows = [b]
     for s in symbols:
         b = belief_update(a, b, s)
@@ -420,17 +420,13 @@ def sample_trajectory(a: Pfsa, steps: int, rng: np.random.Generator) -> Trajecto
     return Trajectory(tuple(states), tuple(chosen))
 
 
-def random_automaton(
-    m: int,
-    n_symbols: int,
-    rng: np.random.Generator,
-    reveal_prob: float = 0.5,
-) -> Pfsa:
+def random_automaton(m: int, n_symbols: int, rng: np.random.Generator) -> Pfsa:
     """A random automaton for property checks.
 
     Symbol 0 always reveals the full state set, so every state has at least
     one consistent symbol and trajectories never dead-end. Remaining symbols
-    get random column-stochastic kernels and random nonempty reveal sets.
+    get random column-stochastic kernels and random nonempty reveal sets,
+    each state kept with probability 1/2.
     """
     if n_symbols < 1:
         raise ValueError("need at least one symbol")
@@ -441,7 +437,7 @@ def random_automaton(
         if k == 0:
             subset = frozenset(range(m))
         else:
-            keep = rng.random(m) < reveal_prob
+            keep = rng.random(m) < 0.5
             if not keep.any():
                 keep[rng.integers(m)] = True
             subset = frozenset(int(q) for q in np.flatnonzero(keep))

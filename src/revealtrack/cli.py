@@ -14,14 +14,15 @@ Commands:
 The file-producing commands take one path: the parsed flags minus
 ``--out`` are the config, ``_RUNNERS`` gives the runner that writes the
 output and returns the summary to print, and ``<output>.manifest.json``
-records the command, the config, the package and numpy versions, and a
-sha256 per output and per input file. ``replay`` checks each recorded
-value against the type its flag parses to and the flag's bounds, then
-calls the same runner on the manifest's config. All randomness descends
-from the single ``--seed`` flag (per-trace seeds are split
-deterministically), so identical manifests regenerate identical bytes;
-``replay`` warns when the running numpy, whose random streams may change
-between versions, or a recorded input differs.
+records the command, the config, the package and numpy versions, and the
+sha256 of the output and of each input file. ``replay`` checks each
+recorded value against the type its flag parses to and the flag's bounds,
+and that the manifest names one output as a bare file name, then calls
+the same runner on the manifest's config. All randomness descends from
+the single ``--seed`` flag (per-trace seeds are split deterministically),
+so identical manifests regenerate identical bytes; ``replay`` warns when
+the running numpy, whose random streams may change between versions, or a
+recorded input differs.
 """
 
 from __future__ import annotations
@@ -220,6 +221,8 @@ def _replay_conditions(manifest: dict, config: dict, input_keys: tuple) -> list[
     for key, digest in inputs.items():
         if key not in input_keys:
             raise ValueError(f"manifest input {key!r} is not an input file of {manifest['command']}")
+        if not isinstance(digest, str):
+            raise ValueError("manifest inputs must map each input to a digest string")
         path = Path(config[key])
         if _sha256(path) != digest:
             changed.append(f"input {path} changed since the run")
@@ -254,7 +257,15 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     outputs, config = manifest["outputs"], manifest["config"]
     if not isinstance(outputs, dict) or not isinstance(config, dict):
         raise ValueError("manifest outputs and config must be JSON objects")
-    if not all(isinstance(digest, str) for digest in outputs.values()):
+    # Every runner writes one file, named without a directory part, so
+    # replay writes nothing outside ``--out-dir``; a NUL byte, which no
+    # path may hold, fails here rather than after ``--out-dir`` is made.
+    if len(outputs) != 1:
+        raise ValueError(f"manifest outputs must name exactly one file, got {len(outputs)}")
+    [(name, recorded)] = outputs.items()
+    if name in ("", ".", "..") or "\0" in name or Path(name).name != name:
+        raise ValueError(f"manifest output {name!r} is not a bare file name")
+    if not isinstance(recorded, str):
         raise ValueError("manifest outputs must map each file name to a digest string")
     _check_config(command, config)
     run, input_keys = _RUNNERS[command]
@@ -263,15 +274,12 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         print("warning: replay may not reproduce the outputs: " + "; ".join(changed), file=sys.stderr)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ok = True
-    for name, recorded in outputs.items():
-        out = out_dir / name
-        print(run(config, out))
-        fresh = _sha256(out)
-        match = "match" if fresh == recorded else "MISMATCH"
-        ok = ok and fresh == recorded
-        print(f"{name}: recorded {recorded[:12]} regenerated {fresh[:12]} -> {match}")
-    return 0 if ok else 1
+    out = out_dir / name
+    print(run(config, out))
+    fresh = _sha256(out)
+    match = "match" if fresh == recorded else "MISMATCH"
+    print(f"{name}: recorded {recorded[:12]} regenerated {fresh[:12]} -> {match}")
+    return 0 if fresh == recorded else 1
 
 
 class _Parser(argparse.ArgumentParser):

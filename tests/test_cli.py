@@ -669,3 +669,28 @@ def test_replay_rejects_an_input_the_command_does_not_read(tmp_path, capsys):
     code, err = _replay_edited(tmp_path, capsys, GEN_ARGV, lambda m: m.update(inputs={"seed": "00"}))
     assert (code, err) == (2, "error: manifest input 'seed' is not an input file of gen-traces\n")
     assert not (tmp_path / "again").exists()
+
+
+@pytest.mark.parametrize("name", ("../up.csv", "sub/out.csv", "ABSOLUTE", "", ".", "..", "a\0b"))
+def test_replay_writes_nothing_outside_its_out_dir(tmp_path, capsys, name):
+    name = str(tmp_path / "up.csv") if name == "ABSOLUTE" else name
+    code, err = _replay_edited(tmp_path, capsys, DECAY_ARGV, lambda m: m.update(outputs={name: "0" * 64}))
+    assert (code, err) == (2, f"error: manifest output {name!r} is not a bare file name\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["out", "out.manifest.json"]
+
+
+@pytest.mark.parametrize("count", (0, 2))
+def test_replay_needs_exactly_one_output(tmp_path, capsys, count):
+    outputs = {f"out{index}": "0" * 64 for index in range(count)}
+    code, err = _replay_edited(tmp_path, capsys, DECAY_ARGV, lambda m: m.update(outputs=outputs))
+    assert (code, err) == (2, f"error: manifest outputs must name exactly one file, got {count}\n")
+    assert not (tmp_path / "again").exists()
+
+
+def test_replay_rejects_a_non_string_input_digest(tmp_path, capsys):
+    automaton_path = tmp_path / "hidden.pfsa"
+    write_automaton(hidden_swap_automaton(), automaton_path)
+    argv = ["simulate", "--automaton", str(automaton_path), "--steps", "4"]
+    code, err = _replay_edited(tmp_path, capsys, argv, lambda m: m.update(inputs={"automaton": 7}))
+    assert (code, err) == (2, "error: manifest inputs must map each input to a digest string\n")
+    assert not (tmp_path / "again").exists()
