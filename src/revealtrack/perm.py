@@ -151,6 +151,17 @@ def one_line_table(n: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=None)
+def _lex_codes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The base-n place values of a one-line permutation of size n, and the
+    ascending codes of the rows of ``one_line_table(n)``; both read-only."""
+    place = n ** np.arange(n - 1, -1, -1)
+    codes = one_line_table(n) @ place
+    place.setflags(write=False)
+    codes.setflags(write=False)
+    return place, codes
+
+
 def lex_indices(rows: np.ndarray) -> np.ndarray:
     """Lexicographic index of every one-line permutation in the rows of an
     (r, n) integer array; the vectorized ``lex_index``.
@@ -159,5 +170,5 @@ def lex_indices(rows: np.ndarray) -> np.ndarray:
     index is a binary search among the codes of ``one_line_table(n)``.
     """
     rows = np.asarray(rows)
-    place = rows.shape[1] ** np.arange(rows.shape[1] - 1, -1, -1)
-    return np.searchsorted(one_line_table(rows.shape[1]) @ place, rows @ place)
+    place, codes = _lex_codes(rows.shape[1])
+    return np.searchsorted(codes, rows @ place)

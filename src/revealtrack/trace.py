@@ -43,7 +43,7 @@ import json
 import operator
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, Iterable, Sequence
@@ -101,13 +101,36 @@ class TraceConfig:
 
 @dataclass(frozen=True)
 class TraceEvent:
-    """One transcript event; ``text_lines`` is its exact rendering."""
+    """One transcript event; ``text_lines`` is its exact rendering.
+
+    A command event also carries ``step``, derived from its permutation:
+    the gather that runs the command, mapping a state to the tuple of
+    ``state[k]`` for ``k`` in ``permutation.mapping``. ``_session``,
+    ``execute`` and ``parse`` all apply it. It takes no part in equality,
+    hashing or ``repr``.
+    """
 
     kind: str  # "init" | "command" | "reveal"
     text_lines: tuple[str, ...]
     permutation: Permutation | None = None
     var: int | None = None
     value: int | None = None
+    step: Callable[[Sequence[int]], tuple[int, ...]] | None = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        step = None
+        if self.kind == "command" and self.permutation is not None:
+            mapping = self.permutation.mapping
+            # itemgetter of one index returns the item, not a 1-tuple.
+            step = operator.itemgetter(*mapping) if len(mapping) > 1 else _one_step
+        object.__setattr__(self, "step", step)
+
+
+def _one_step(state: Sequence[int]) -> tuple[int, ...]:
+    """The step of the one-variable command."""
+    return (state[0],)
 
 
 @dataclass(frozen=True)
@@ -211,7 +234,7 @@ def _session(config: TraceConfig, commands: Sequence[TraceEvent], reveal_vars: S
     reveals = iter(reveal_vars)
     for slot, command in enumerate(commands, start=1):
         events.append(command)
-        state = [state[k] for k in command.permutation.mapping]
+        state = command.step(state)
         if slot % config.reveal_spacing == 0:
             var = next(reveals)
             events.append(_reveal(var, state[var]))
@@ -229,10 +252,12 @@ def execute(events: Sequence[TraceEvent]) -> ExecutionResult:
 
     Disagreements are collected and reported, never raised.
     """
-    state: list[int] = []
+    state: list[int] | tuple[int, ...] = []  # a tuple once a command has run
     mismatches: list[RevealMismatch] = []
     for index, ev in enumerate(events):
         if ev.kind == "init":
+            if isinstance(state, tuple):
+                raise ValueError(f"init event {index} comes after a command")
             if ev.var != len(state):
                 raise ValueError(f"init event {index} out of order")
             state.append(ev.value)
@@ -240,7 +265,7 @@ def execute(events: Sequence[TraceEvent]) -> ExecutionResult:
             mapping = ev.permutation.mapping
             if len(mapping) != len(state):
                 raise ValueError(f"command over {len(mapping)} vars, state has {len(state)}")
-            state = [state[k] for k in mapping]
+            state = ev.step(state)
         elif ev.kind == "reveal":
             if ev.var >= len(state):
                 raise ValueError(f"reveal of unknown variable index {ev.var}")
@@ -442,11 +467,11 @@ def parse(text: str) -> Trace:
 
         saw_command_or_reveal = True
         try:
-            event, step, lists_more_than_two = _parse_command(line, n_vars)
+            event, lists_more_than_two = _parse_command(line, n_vars)
         except _LineError as exc:
             raise TraceParseError(exc.message, lineno, exc.column) from None
         events.append(event)
-        state = step(state)
+        state = event.step(state)
         full = full or lists_more_than_two
         n_commands += 1
 
@@ -485,12 +510,10 @@ class _LineError(Exception):
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _parse_command(
-    line: str, n: int
-) -> tuple[TraceEvent, Callable[[Sequence[int]], tuple[int, ...]], bool]:
+def _parse_command(line: str, n: int) -> tuple[TraceEvent, bool]:
     """The command event of ``line`` under the first ``n`` variables ``a``,
-    ``b``, ..., the step that applies it to a state, and whether it lists
-    more than two variables (so is a full permutation).
+    ``b``, ..., and whether it lists more than two variables (so is a full
+    permutation).
 
     Memoized: a transcript repeats few distinct command lines. Errors raise
     and are never stored, so each one is reported afresh.
@@ -516,13 +539,16 @@ def _parse_command(
         if "".join(lhs) != names:
             raise _LineError("full command must list every variable in order")
         p = Permutation(tuple(names.index(name) for name in rhs))
-    return TraceEvent("command", (line,), permutation=p), operator.itemgetter(*p.mapping), len(lhs) > 2
+    return TraceEvent("command", (line,), permutation=p), len(lhs) > 2
 
 
 # Line-delimited dataset export. One JSON object per trace with the fields
 # text, n_vars, n_commands, reveal_spacing, command_kind, seed,
 # reveal_spans, final_state; spans are [start, end) character offsets of
-# the revealed value inside `text`, usable for loss masking.
+# the revealed value inside `text`, usable for loss masking. Tuples encode
+# as JSON arrays, so spans and state go to the encoder as they are.
+
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 def export_dataset(traces: Iterable[Trace], sink) -> int:
@@ -538,10 +564,10 @@ def export_dataset(traces: Iterable[Trace], sink) -> int:
             "reveal_spacing": trace.config.reveal_spacing,
             "command_kind": trace.config.command_kind,
             "seed": trace.config.seed,
-            "reveal_spans": [list(span) for span in trace.reveal_spans],
-            "final_state": list(trace.final_state),
+            "reveal_spans": trace.reveal_spans,
+            "final_state": trace.final_state,
         }
-        sink.write(json.dumps(record, separators=(",", ":")) + "\n")
+        sink.write(_ENCODER.encode(record) + "\n")
         count += 1
     return count
 

@@ -12,6 +12,8 @@ from revealtrack.perm import (
     identity,
     inverse,
     lex_index,
+    lex_indices,
+    one_line_table,
     sample_uniform,
     symmetric_group,
     to_matrix,
@@ -170,6 +172,8 @@ def test_symmetric_group_enumeration():
     assert group[0] == identity(3)
     for index, p in enumerate(group):
         assert lex_index(p) == index
+    for n in range(1, 9):
+        assert np.array_equal(lex_indices(one_line_table(n)), np.arange(math.factorial(n)))
 
 
 def test_apply_validates_length():

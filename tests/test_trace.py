@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import sys
 from collections import Counter
@@ -14,6 +15,7 @@ from revealtrack.trace import (
     CURRICULUM_STAGES,
     ELEMENTARY_SWAP,
     FULL_PERMUTATION,
+    RevealMismatch,
     Trace,
     TraceConfig,
     TraceEvent,
@@ -420,6 +422,132 @@ def test_execute_init_only_reveals_initial_values():
     assert result.disagreements == ()
 
 
+def test_execute_rejects_an_init_after_a_command():
+    events = [
+        trace_module._init(0, 1),
+        trace_module._init(1, 2),
+        trace_module._swap_command(2, 0, 1),
+        trace_module._init(2, 3),
+    ]
+    with pytest.raises(ValueError, match=r"^init event 3 comes after a command$"):
+        execute(events)
+
+
+@pytest.mark.parametrize("n_vars", (2, 5, 26))
+@pytest.mark.parametrize("kind", COMMAND_KINDS)
+def test_every_command_step_gathers_its_mapping(kind, n_vars):
+    rng = np.random.default_rng(n_vars)
+    for seed in range(4):
+        trace = generate(TraceConfig(n_vars, 24, 3, kind, seed=seed))
+        for events in (trace.events, parse(trace.text).events):
+            assert sum(ev.kind == "command" for ev in events) == 24
+            for ev in events:
+                if ev.kind != "command":
+                    assert ev.step is None
+                    continue
+                state = rng.integers(0, 1000, n_vars).tolist()
+                assert ev.step(state) == tuple(state[k] for k in ev.permutation.mapping)
+
+
+def test_one_variable_command_steps_to_a_one_tuple():
+    command = TraceEvent("command", (">>> a = a",), permutation=Permutation((0,)))
+    assert command.step([7]) == (7,)
+    init = TraceEvent("init", (">>> a = 7",), var=0, value=7)
+    assert execute([init, command]).final_state == (7,)
+
+
+def command_line(p: Permutation, kind: str) -> str:
+    names = [var_name(i) for i in range(p.n)]
+    if kind == ELEMENTARY_SWAP:
+        i, j = (k for k in range(p.n) if p.mapping[k] != k)
+        return f">>> {names[i]}, {names[j]} = {names[j]}, {names[i]}"
+    return f">>> {', '.join(names)} = {', '.join(names[k] for k in p.mapping)}"
+
+
+def reference_session(config: TraceConfig, rng: np.random.Generator) -> tuple[list[TraceEvent], tuple[int, ...]]:
+    """The events and final state of ``generate``, each event built afresh
+    and the state stepped by a list comprehension over the mapping."""
+    commands, reveal_vars = reference_draws(config, rng)
+    state = list(range(1, config.n_vars + 1))
+    events = [TraceEvent("init", (f">>> {var_name(v)} = {v + 1}",), var=v, value=v + 1) for v in range(config.n_vars)]
+    reveals = iter(reveal_vars)
+    for slot, p in enumerate(commands, start=1):
+        events.append(TraceEvent("command", (command_line(p, config.command_kind),), permutation=p))
+        state = [state[k] for k in p.mapping]
+        if slot % config.reveal_spacing == 0:
+            var = next(reveals)
+            name, value = var_name(var), state[var]
+            lines = (f">>> print('{name}', {name})", f"{name} {value}")
+            events.append(TraceEvent("reveal", lines, var=var, value=value))
+    return events, tuple(state)
+
+
+def reference_execute(events) -> tuple[tuple[int, ...], tuple[RevealMismatch, ...]]:
+    """``execute`` on well-formed events, stepping by a list comprehension."""
+    state: list[int] = []
+    mismatches = []
+    for index, ev in enumerate(events):
+        if ev.kind == "init":
+            state.append(ev.value)
+        elif ev.kind == "command":
+            state = [state[k] for k in ev.permutation.mapping]
+        elif state[ev.var] != ev.value:
+            mismatches.append(RevealMismatch(index, ev.var, state[ev.var], ev.value))
+    return tuple(state), tuple(mismatches)
+
+
+@pytest.mark.parametrize("kind", COMMAND_KINDS)
+def test_steps_match_a_list_comprehension_on_random_traces(kind):
+    picks = np.random.default_rng(16)
+    disagreeing = 0
+    for _ in range(1000):
+        n_vars, n_commands, spacing = (int(v) for v in picks.integers((2, 1, 1), (9, 41, 6)))
+        config = TraceConfig(n_vars, n_commands, spacing, kind, seed=int(picks.integers(2**63)))
+        trace = generate(config)
+        events, final_state = reference_session(config, np.random.default_rng(config.seed))
+        assert trace.events == tuple(events)
+        assert trace.final_state == final_state
+        # Misprint a random share of the reveals, so that execute has
+        # disagreements to report.
+        misprinted = [
+            TraceEvent(ev.kind, ev.text_lines, var=ev.var, value=ev.value + 1)
+            if ev.kind == "reveal" and picks.random() < 0.3 else ev
+            for ev in trace.events
+        ]
+        result = execute(misprinted)
+        assert (result.final_state, result.disagreements) == reference_execute(misprinted)
+        assert result.final_state == final_state
+        disagreeing += bool(result.disagreements)
+    assert disagreeing > 500
+
+
+def test_events_compare_hash_and_print_as_values():
+    swap = trace_module._swap_command(2, 0, 1)
+    assert repr(swap) == (
+        "TraceEvent(kind='command', text_lines=('>>> a, b = b, a',), "
+        "permutation=Permutation(mapping=(1, 0)), var=None, value=None)"
+    )
+    # Generated events come from the caches, parsed ones from the command
+    # memo, and the copies from neither.
+    trace = generate(TraceConfig(4, 12, 3, FULL_PERMUTATION, seed=2))
+    cached = trace.events
+    for events in (cached, parse(trace.text).events):
+        fresh = [
+            TraceEvent(
+                ev.kind, ev.text_lines, ev.permutation and Permutation(ev.permutation.mapping), ev.var, ev.value
+            )
+            for ev in events
+        ]
+        assert tuple(fresh) == tuple(events) == cached
+        assert [hash(ev) for ev in fresh] == [hash(ev) for ev in cached]
+        assert [repr(ev) for ev in fresh] == [repr(ev) for ev in cached]
+    # The step is derived data: an event without one still equals its value.
+    stepless = TraceEvent("command", swap.text_lines, permutation=swap.permutation)
+    object.__setattr__(stepless, "step", None)
+    assert stepless == swap and hash(stepless) == hash(swap)
+    assert repr(stepless) == repr(swap)
+
+
 def test_parse_errors():
     base = ">>> a = 1\n>>> b = 2\n"
     with pytest.raises(TraceParseError, match="not bijective"):
@@ -549,6 +677,36 @@ def test_export_dataset(tmp_path):
     second = tmp_path / "data2.jsonl"
     export_dataset((generate(c) for c in configs), second)
     assert out.read_bytes() == second.read_bytes()
+
+
+def test_export_dataset_bytes_match_a_list_building_reference():
+    traces = [
+        generate(TraceConfig(n_vars, n_commands, spacing, kind, seed=derive_seed(21, n_vars, n_commands)))
+        for kind in COMMAND_KINDS
+        for n_vars in (2, 5, 26)
+        for n_commands, spacing in ((1, 2), (7, 3), (64, 8))
+    ]
+    traces += [parse(trace.text) for trace in traces]
+    sink = io.StringIO()
+    assert export_dataset(traces, sink) == len(traces)
+    expected = "".join(
+        json.dumps(
+            {
+                "text": trace.text,
+                "n_vars": trace.config.n_vars,
+                "n_commands": trace.config.n_commands,
+                "reveal_spacing": trace.config.reveal_spacing,
+                "command_kind": trace.config.command_kind,
+                "seed": trace.config.seed,
+                "reveal_spans": [list(span) for span in trace.reveal_spans],
+                "final_state": list(trace.final_state),
+            },
+            separators=(",", ":"),
+        )
+        + "\n"
+        for trace in traces
+    )
+    assert sink.getvalue() == expected
 
 
 def test_export_dataset_sink_failure(tmp_path):
