@@ -23,6 +23,15 @@ arrays. A convex mixture of k permutation matrices, such as a shuffle of
 arrangements, is a ``PermutationMixture``: k index gathers and k weights,
 O(k m) in memory and per step instead of O(m^2). The text format always
 holds the dense matrix.
+
+``Symbol.apply`` runs the step T @ (z * b) unnormalized, in a form chosen
+once per symbol from its structure: a dense kernel keeps T with z folded
+into its columns and does one product; a mixture that reveals every state
+gathers with no mask product; the identity gather of a reveal-only mixture
+is the mask product alone; any other symbol prunes, then steps. Since z
+holds only 0 and 1, each form gives the bits of T @ (z * b): a term
+(T_ij z_j) b_j equals T_ij (z_j b_j), sign of zero included, and the
+terms are summed in the same order.
 """
 
 from __future__ import annotations
@@ -32,7 +41,9 @@ import io
 import math
 import os
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -127,12 +138,53 @@ class PermutationMixture:
         return f"PermutationMixture(k={len(self.weights)}, m={self.shape[0]})"
 
 
+def _forward_step(
+    t: np.ndarray | PermutationMixture, mask: np.ndarray, reveals_all: bool
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The function v -> t @ (mask * v), in the cheapest form that gives
+    its bits (see the module docstring); ``reveals_all`` says that ``mask``
+    is all ones.
+
+    Each form takes v as ``mask * v`` would: a dense product gets it
+    contiguous, since numpy sums a matrix-vector product over a reversed or
+    broadcast view in another order, and the gathers get it as float64.
+    """
+    if not isinstance(t, PermutationMixture):
+        kernel = t if reveals_all else t * mask
+        kernel.setflags(write=False)
+        return partial(_dense_step, kernel)
+    if reveals_all:
+        return partial(_gather_step, t)
+    (w, src), *rest = t._terms
+    if not rest and w == 1.0 and np.array_equal(src, np.arange(len(src))):
+        return mask.__mul__
+    return partial(_pruned_step, t, mask)
+
+
+# The steps at module level, so that a symbol pickles.
+def _dense_step(kernel: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return kernel @ np.ascontiguousarray(v)
+
+
+def _gather_step(t: PermutationMixture, v: np.ndarray) -> np.ndarray:
+    return t @ np.asarray(v, dtype=float)
+
+
+def _pruned_step(t: PermutationMixture, mask: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return t @ (mask * v)
+
+
 @dataclass(frozen=True)
 class Symbol:
     """One input symbol: a transition kernel plus a reveal set.
 
     The kernel is a ``PermutationMixture`` when one is given and a dense
-    read-only array otherwise.
+    read-only array otherwise. ``apply`` runs a step chosen once, at
+    construction, from that structure: a dense kernel with the reveal mask
+    folded into its columns, a full-reveal mixture's gathers with no mask
+    product, the mask product alone for the identity gather, and otherwise
+    T @ (z * v). As z holds only 0 and 1, each gives the bits of
+    T @ (z * v).
     """
 
     name: str
@@ -141,6 +193,7 @@ class Symbol:
     # 0/1 diagonal of the reveal matrix. Indices outside range(m) are left
     # out here and reported by ``validate``.
     mask: np.ndarray = field(init=False, repr=False, compare=False)
+    _step: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         t = self.transition
@@ -162,10 +215,12 @@ class Symbol:
             index = np.fromiter(reveal, np.intp, len(reveal))
         except OverflowError:  # an index past intp is out of range too
             index = np.fromiter((q for q in reveal if 0 <= q < m), np.intp)
+        inside = index[(index >= 0) & (index < m)]
         mask = np.zeros(m)
-        mask[index[(index >= 0) & (index < m)]] = 1.0
+        mask[inside] = 1.0
         mask.setflags(write=False)
         object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "_step", _forward_step(t, mask, len(inside) == m))
         if not _NAME_RE.match(self.name):
             raise ValueError(f"symbol name {self.name!r} must match {_NAME_RE.pattern}")
 
@@ -175,8 +230,8 @@ class Symbol:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """The unnormalized forward step T @ (z * v): prune to the reveal
-        set, then push through the kernel."""
-        return self.transition @ (self.mask * v)
+        set, then push through the kernel. Always a fresh array."""
+        return self._step(v)
 
     def column(self, state: int) -> np.ndarray:
         """Column ``state`` of the kernel: the next-state distribution."""
@@ -331,12 +386,15 @@ def belief_update(a: Pfsa, b: np.ndarray, symbol: int) -> np.ndarray:
     normalization of the zero vector is undefined.
     """
     v = a.symbols[symbol].apply(np.asarray(b, dtype=float))
-    mass = v.sum()
+    # The bits of v.sum() and v / mass, without the sum's Python wrapper
+    # and in the fresh array apply returns.
+    mass = np.add.reduce(v)
     if mass <= 0.0:
         raise InconsistentObservationError(
             f"symbol {a.symbols[symbol].name!r} has zero belief mass"
         )
-    return v / mass
+    v /= mass
+    return v
 
 
 def belief_trajectory(a: Pfsa, symbols) -> np.ndarray:

@@ -100,11 +100,14 @@ def joint_decode(state: JointLinearState) -> np.ndarray:
 
 
 def survival(a: Pfsa, b: np.ndarray, symbol: int) -> float:
-    """Belief mass consistent with the symbol's reveal, s = ||z * b||_1.
+    """Belief mass consistent with the symbol's reveal, s = ||z * b||_1,
+    for a belief vector b.
 
-    Zero signals an observation inconsistent with the belief.
+    Zero signals an observation inconsistent with the belief. The product
+    with the float64 mask is float64 for any real b, and ``np.add.reduce``
+    sums a 1-D array as ``.sum()`` does, without its Python wrapper.
     """
-    return float((a.symbols[symbol].mask * np.asarray(b, dtype=float)).sum())
+    return float(np.add.reduce(a.symbols[symbol].mask * b))
 
 
 def gated_reset(state: JointLinearState, prior: np.ndarray) -> JointLinearState:

@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -53,17 +53,26 @@ class FloatGrid:
 
     sig_bits: int
     min_exp: int
+    # 2**sig_bits and 2**min_exp, taken once.
+    _scale: float = field(init=False, repr=False, compare=False)
+    min_normal: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_scale", 2.0**self.sig_bits)
+        object.__setattr__(self, "min_normal", 2.0**self.min_exp)
 
     def round_array(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        scale = 2.0 ** self.sig_bits
-        mant, exp = np.frexp(x)
-        out = np.ldexp(np.rint(mant * scale) / scale, exp)
-        return np.where(np.abs(out) < 2.0 ** self.min_exp, 0.0, out)
-
-    @property
-    def min_normal(self) -> float:
-        return 2.0 ** self.min_exp
+        """A fresh float64 array of ``x`` (one or more dimensions) on the
+        grid: each significand rounded to ``sig_bits`` bits, ties to even,
+        then every magnitude below 2**min_exp flushed to +0.0. Works in
+        the significand array that ``frexp`` returns."""
+        out, exp = np.frexp(np.asarray(x, dtype=float))
+        out *= self._scale
+        np.rint(out, out=out)
+        out /= self._scale
+        np.ldexp(out, exp, out=out)
+        out[np.abs(out) < self.min_normal] = 0.0
+        return out
 
 
 SINGLE_PRECISION = FloatGrid(sig_bits=24, min_exp=-126)
@@ -136,9 +145,10 @@ def adversarial_joint_scenario(cycles: int, reset_every: int | None = None) -> J
     if reset_every is not None and reset_every < 1:
         raise ValueError("reset_every must be >= 1")
     a = absorbing_automaton()
+    cycle_steps = (a.symbol_index("mix"), a.symbol_index("reveal"))
     steps: list[Union[int, str]] = []
     for cycle in range(1, cycles + 1):
-        steps.extend((a.symbol_index("mix"), a.symbol_index("reveal")))
+        steps.extend(cycle_steps)
         if reset_every is not None and cycle % reset_every == 0:
             steps.append(RESET)
     return JointScenario(a, np.array([0.0, 0.5, 0.5]), tuple(steps))
@@ -187,8 +197,7 @@ def noisy_swap_s3() -> Pfsa:
     return Pfsa((fuzzy, observe), q0=0)
 
 
-@dataclass(frozen=True)
-class DecayRow:
+class DecayRow(NamedTuple):
     step: int
     op: str
     l1_norm: float
@@ -208,10 +217,10 @@ class DecayReport:
                 self.to_csv(fh)
             return
         lines = ["step,op,l1_norm,survival,min_nonzero,log2_norm\n"]
-        for row in self.rows:
-            surv = "" if row.survival is None else repr(row.survival)
-            floor = "" if row.min_nonzero is None else repr(row.min_nonzero)
-            lines.append(f"{row.step},{row.op},{row.l1_norm!r},{surv},{floor},{row.log2_norm!r}\n")
+        for step, op, l1_norm, surv, floor, log2_norm in self.rows:
+            surv = "" if surv is None else repr(surv)
+            floor = "" if floor is None else repr(floor)
+            lines.append(f"{step},{op},{l1_norm!r},{surv},{floor},{log2_norm!r}\n")
         sink.write("".join(lines))
 
 
@@ -263,8 +272,7 @@ def _run_joint(scenario: JointScenario, grid: FloatGrid | None) -> DecayReport:
     cum_log2 = math.log2(total)
     tracked = grid.round_array(scenario.initial) if grid else scenario.initial
 
-    states = np.empty((len(scenario.steps), a.m))
-    labels, survivals, log2_norms = [], [], []
+    stored, labels, survivals, log2_norms = [], [], [], []
     first_underflow = None
     for index, op in enumerate(scenario.steps):
         if op == RESET:
@@ -274,23 +282,27 @@ def _run_joint(scenario: JointScenario, grid: FloatGrid | None) -> DecayReport:
             labels.append("reset")
             survivals.append(None)
         else:
-            sym = a.symbols[int(op)]
-            surv = survival(a, belief, int(op))
+            symbol = int(op)
+            sym = a.symbols[symbol]
+            surv = survival(a, belief, symbol)
             if surv <= 0.0:
                 raise InconsistentObservationError(
                     f"step {index + 1}: symbol {sym.name!r} is inconsistent"
                 )
             # The shadow belief is normalized by the survival, not by the
             # sum after the transition: the report's bytes depend on it.
-            belief = sym.apply(belief) / surv
+            belief = sym.apply(belief)
+            belief /= surv
             tracked = grid.round_array(sym.apply(tracked)) if grid else sym.apply(tracked)
             cum_log2 += math.log2(surv)
             labels.append(sym.name)
             survivals.append(surv)
-        states[index] = tracked
+        stored.append(tracked)
         log2_norms.append(cum_log2)
         if grid and first_underflow is None and cum_log2 < grid.min_exp:
             first_underflow = index + 1
+    # No step writes to an array once stored, so each row is its step's state.
+    states = np.array(stored).reshape(len(stored), a.m)
     rows = _rows(states, states.sum(axis=1).tolist(), labels, survivals, log2_norms)
     return DecayReport(rows, first_underflow)
 

@@ -34,7 +34,7 @@ integers on [0, n-2] (none when n = 2), [0, n-1] and [0, 1], then one on
 
 Events are immutable, and traces share them: each distinct command, reveal
 and init line is built once per process and reused by every trace that
-holds it.
+holds it, generated or parsed.
 """
 
 from __future__ import annotations
@@ -186,7 +186,10 @@ def _full_command(mapping: tuple[int, ...]) -> TraceEvent:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _swap_command(n: int, i: int, j: int) -> TraceEvent:
-    """The swap of variables ``i < j``."""
+    """The swap of variables ``i < j``. Over two variables it is the one
+    full command, whose line it shares, and so its event too."""
+    if n == 2:
+        return _full_command((1, 0))
     first, second = var_name(i), var_name(j)
     line = f">>> {first}, {second} = {second}, {first}"
     return TraceEvent("command", (line,), permutation=transposition(n, i, j))
@@ -256,8 +259,11 @@ def execute(events: Sequence[TraceEvent]) -> ExecutionResult:
     mismatches: list[RevealMismatch] = []
     for index, ev in enumerate(events):
         if ev.kind == "init":
-            if isinstance(state, tuple):
-                raise ValueError(f"init event {index} comes after a command")
+            # len(state) counts the inits so far, so another event came
+            # first exactly when index exceeds it; the first such event is
+            # the one just after the inits.
+            if index != len(state):
+                raise ValueError(f"init event {index} comes after a {events[len(state)].kind}")
             if ev.var != len(state):
                 raise ValueError(f"init event {index} out of order")
             state.append(ev.value)
@@ -397,7 +403,6 @@ def parse(text: str) -> Trace:
     spans: list[tuple[int, int]] = []
     offset = 0  # where the next line starts in the returned text
     pending_print: str | None = None  # the variable an open reveal prints
-    saw_command_or_reveal = False
     n_commands = commands_at_reveal = 0
     spacing: int | None = None  # the command gap before every reveal; 0 once two differ
     full = False
@@ -441,8 +446,10 @@ def parse(text: str) -> Trace:
                     value = int(digits)
                 except ValueError as exc:  # as for an output line
                     raise TraceParseError(str(exc), lineno, init.start(2) + 1) from None
-                if saw_command_or_reveal:
-                    raise TraceParseError("initialization after the first command", lineno)
+                # As in ``execute``: n_vars counts the inits so far, and the
+                # first other event, if any, is the one just after them.
+                if len(events) != n_vars:
+                    raise TraceParseError(f"initialization after the first {events[n_vars].kind}", lineno)
                 if name in names:
                     raise TraceParseError(f"variable {name!r} initialized twice", lineno)
                 # n_vars < 26 here: after z, every name was initialized.
@@ -461,11 +468,9 @@ def parse(text: str) -> Trace:
                     raise TraceParseError(f"print label {label!r} differs from variable {operand!r}", lineno)
                 if label not in names:
                     raise TraceParseError(f"unknown variable {label!r}", lineno, line.index(label) + 1)
-                saw_command_or_reveal = True
                 pending_print = label
                 continue
 
-        saw_command_or_reveal = True
         try:
             event, lists_more_than_two = _parse_command(line, n_vars)
         except _LineError as exc:
@@ -516,7 +521,9 @@ def _parse_command(line: str, n: int) -> tuple[TraceEvent, bool]:
     permutation).
 
     Memoized: a transcript repeats few distinct command lines. Errors raise
-    and are never stored, so each one is reported afresh.
+    and are never stored, so each one is reported afresh. A line written
+    as ``generate`` writes it gets the event ``generate`` uses; any other
+    (a swap listed as ``c, a = a, c``, say) gets its own.
     """
     names = _NAMES[:n]
     match = _ASSIGN_RE.match(line)
@@ -534,12 +541,15 @@ def _parse_command(line: str, n: int) -> tuple[TraceEvent, bool]:
     if len(lhs) == 2 and len(lhs) < n:
         if rhs != [lhs[1], lhs[0]]:
             raise _LineError("two-variable command must be a swap")
-        p = transposition(n, names.index(lhs[0]), names.index(lhs[1]))
+        i, j = names.index(lhs[0]), names.index(lhs[1])
+        event = _swap_command(n, min(i, j), max(i, j))
     else:
         if "".join(lhs) != names:
             raise _LineError("full command must list every variable in order")
-        p = Permutation(tuple(names.index(name) for name in rhs))
-    return TraceEvent("command", (line,), permutation=p), len(lhs) > 2
+        event = _full_command(tuple(names.index(name) for name in rhs))
+    if event.text_lines != (line,):
+        event = TraceEvent("command", (line,), permutation=event.permutation)
+    return event, len(lhs) > 2
 
 
 # Line-delimited dataset export. One JSON object per trace with the fields

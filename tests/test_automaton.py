@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from revealtrack.automaton import (
     validate_belief,
     write_automaton,
 )
+from revealtrack.joint import placement_reveal_symbol
 from revealtrack.perm import compose, identity, sample_uniform, to_matrix
 from revealtrack.scenarios import hidden_swap_automaton
 
@@ -218,6 +220,57 @@ def test_symbol_keeps_a_frozenset_of_ints():
     np.testing.assert_array_equal(far.mask, [1.0, 0.0])
     for reveal in (frozenset({-1}), frozenset(), frozenset({10**30})):
         np.testing.assert_array_equal(Symbol("off", np.eye(2), reveal).mask, [0.0, 0.0])
+
+
+def _apply_cases(rng, m):
+    """Finite vectors over m states: zeros, -0.0, negatives, large and tiny
+    magnitudes, as contiguous arrays, as strided, reversed and broadcast
+    views, and as float32 and integer arrays."""
+    base = rng.standard_normal(3 * m) * 10.0 ** rng.integers(-300, 300, 3 * m)
+    base[rng.random(3 * m) < 0.2] = 0.0
+    base[rng.random(3 * m) < 0.2] = -0.0
+    return [
+        base[:m],
+        base[::3],
+        base[::-1][:m],
+        base[1::2][:m],
+        np.broadcast_to(base[2:3], (m,)),
+        np.abs(base[:m]),
+        np.zeros(m),
+        -np.zeros(m),
+        np.clip(base[:m], -1e30, 1e30).astype(np.float32),
+        rng.integers(-3, 4, m),
+    ]
+
+
+def test_apply_matches_the_pruned_product_bit_for_bit():
+    # Each step Symbol.apply chooses gives the bits of T @ (z * v).
+    rng = np.random.default_rng(17)
+    symbols = []
+    for m in range(1, 9):
+        for _ in range(6):
+            t = rng.random((m, m)) * rng.choice([1.0, -1.0], (m, m))
+            t[rng.random((m, m)) < 0.3] = 0.0
+            t[rng.random((m, m)) < 0.1] = -0.0
+            sources = np.array([rng.permutation(m) for _ in range(rng.integers(1, 5))])
+            kernel = PermutationMixture(sources, rng.dirichlet(np.ones(len(sources))))
+            partial = frozenset(np.flatnonzero(rng.random(m) < 0.5).tolist())
+            everything = frozenset(range(m)) | {m + 3}  # an out-of-range index too
+            for reveal in (partial, everything):
+                symbols += [Symbol("dense", t, reveal), Symbol("mix", kernel, reveal)]
+        symbols.append(Symbol("eye", np.eye(m), frozenset(range(0, m, 2))))
+        symbols.append(Symbol("gather", PermutationMixture([np.arange(m)], [1.0]), frozenset({m - 1})))
+    for n in (2, 3, 4):
+        symbols += [placement_reveal_symbol(n, p, e) for p in range(n) for e in range(n)]
+
+    for sym in symbols:
+        copy = pickle.loads(pickle.dumps(sym))  # the chosen step pickles too
+        for v in _apply_cases(rng, sym.m):
+            out = sym.apply(v)
+            expected = sym.transition @ (sym.mask * v)
+            assert out.dtype == expected.dtype == np.float64
+            assert out.tobytes() == expected.tobytes() == copy.apply(v).tobytes(), (sym, v)
+            assert not np.shares_memory(out, v) and out.flags.writeable
 
 
 def test_validate_belief():

@@ -101,14 +101,12 @@ def test_decay_with_resets(tmp_path, capsys):
 
 
 def test_decay_reports_match_golden_digests(tmp_path):
-    # The short decay runs of perfbench/golden.json; their bytes do not
-    # depend on numpy's random streams.
+    # Every decay run of perfbench/golden.json, the benchmark's 500-cycle
+    # runs included: single precision flushes only from cycle 127 on. Their
+    # bytes do not depend on numpy's random streams.
     golden = json.loads(GOLDEN.read_text())
-    keys = [
-        key for key in golden["digests"]
-        if key.startswith("decay ") and ("--cycles 12 " in key or "--steps 24 " in key)
-    ]
-    assert len(keys) == 8
+    keys = [key for key in golden["digests"] if key.startswith("decay ")]
+    assert len(keys) == 16
     for key in keys:
         out = tmp_path / "decay.csv"
         assert main(key.split() + ["--out", str(out)]) == 0

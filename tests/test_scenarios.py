@@ -36,6 +36,40 @@ def test_float_grid_rounding():
     assert SINGLE_PRECISION.min_normal == 2.0**-126
 
 
+def _reference_round(grid, x):
+    """Grid rounding as one expression per step: frexp, rint, ldexp, where."""
+    x = np.asarray(x, dtype=float)
+    scale = 2.0 ** grid.sig_bits
+    mant, exp = np.frexp(x)
+    out = np.ldexp(np.rint(mant * scale) / scale, exp)
+    return np.where(np.abs(out) < 2.0 ** grid.min_exp, 0.0, out)
+
+
+@pytest.mark.parametrize("grid", [SINGLE_PRECISION, FloatGrid(8, -20)], ids=["single", "8-bit"])
+def test_float_grid_rounding_matches_the_reference_bits(grid):
+    rng = np.random.default_rng(grid.sig_bits)
+    step = 2.0 ** -grid.sig_bits  # one grid step at 1/2 <= |m| < 1
+    edge = grid.min_normal
+    random = rng.standard_normal(600) * 2.0 ** rng.integers(-140, 40, 600)
+    # Halfway between two grid values, on both sides of an even significand.
+    ties = np.array([1 + step, 1 + 3 * step, 0.75 + step, 0.75 + 3 * step, 2.0**-30 * (1 + step)])
+    zeros = np.array([0.0, -0.0])
+    subnormals = np.array([5e-324, -5e-324, 2.0**-1060, -(2.0**-1030) * 1.5])
+    # Within one grid step of 2**min_exp, ties and both signs included.
+    offsets = np.arange(-4, 5) * step / 2
+    near_edge = np.concatenate([edge * (1 + offsets), edge * (1 - offsets / 2), -edge * (1 + offsets)])
+    values = np.concatenate([random, ties, -ties, zeros, subnormals, near_edge])
+    rng.shuffle(values)
+    cases = [values, values[::-1], values[::3], values[:81].reshape(9, 9), values[:1]]
+    for x in cases:
+        before = x.tobytes()
+        out = grid.round_array(x)
+        expected = _reference_round(grid, x)
+        assert out.dtype == expected.dtype and out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+        assert x.tobytes() == before and not np.shares_memory(out, x)
+
+
 def test_joint_scenario_shape():
     empty = adversarial_joint_scenario(0)
     assert empty.steps == ()

@@ -433,6 +433,53 @@ def test_execute_rejects_an_init_after_a_command():
         execute(events)
 
 
+def test_execute_rejects_an_init_after_a_reveal():
+    # The reveal precedes every command; the init must still come first.
+    events = [
+        trace_module._init(0, 1),
+        trace_module._init(1, 2),
+        trace_module._reveal(1, 2),
+        trace_module._init(2, 3),
+        trace_module._full_command((1, 2, 0)),
+    ]
+    with pytest.raises(ValueError, match=r"^init event 3 comes after a reveal$"):
+        execute(events)
+
+
+def test_parse_names_what_an_init_comes_after():
+    base = ">>> a = 1\n>>> b = 2\n"
+    cases = [
+        (base + ">>> print('b', b)\nb 2\n>>> c = 3\n>>> a, b, c = b, c, a\n", "line 5, column 1: initialization after the first reveal"),
+        (base + ">>> a, b = b, a\n>>> print('b', b)\nb 1\n>>> c = 3\n", "line 6, column 1: initialization after the first command"),
+        (base + ">>> print('b', b)\nb 2\n>>> a, b = b, a\n>>> c = 3\n", "line 6, column 1: initialization after the first reveal"),
+    ]
+    for text, message in cases:
+        with pytest.raises(TraceParseError) as info:
+            parse(text)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("n_vars", (2, 5, 26))
+@pytest.mark.parametrize("kind", COMMAND_KINDS)
+def test_parse_shares_the_events_generate_builds(kind, n_vars):
+    # Other tests overflow the caches, which evict apart: start them empty.
+    for cache in (trace_module._parse_command, trace_module._full_command, trace_module._swap_command):
+        cache.cache_clear()
+    trace = generate(TraceConfig(n_vars, 16, 2, kind, seed=3))
+    parsed = parse(trace.text)
+    assert len(parsed.events) == len(trace.events)
+    for ours, generated in zip(parsed.events, trace.events):
+        assert ours is generated
+
+
+def test_parse_keeps_its_own_event_for_a_swap_written_otherwise():
+    text = ">>> a = 1\n>>> b = 2\n>>> c = 3\n>>> c, a = a, c\n"
+    event = parse(text).events[-1]
+    shared = trace_module._swap_command(3, 0, 2)
+    assert event.text_lines == (">>> c, a = a, c",) and event is not shared
+    assert event.permutation == shared.permutation
+
+
 @pytest.mark.parametrize("n_vars", (2, 5, 26))
 @pytest.mark.parametrize("kind", COMMAND_KINDS)
 def test_every_command_step_gathers_its_mapping(kind, n_vars):
