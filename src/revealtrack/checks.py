@@ -35,7 +35,7 @@ from .automaton import (
     random_automaton,
     sample_trajectory,
 )
-from .perm import Permutation, compose, identity, lex_index, symmetric_group, to_matrix, transposition
+from .perm import Mixture, Permutation, compose, identity, lex_index, symmetric_group, to_matrix, transposition
 
 
 def _equal(value, limit) -> bool:
@@ -185,13 +185,11 @@ def check_oracle_equivalence(
     )
 
 
-def _random_mixture(
-    rng: np.random.Generator, group, max_k: int
-) -> tuple[tuple[Permutation, float], ...]:
+def _random_mixture(rng: np.random.Generator, group, max_k: int) -> Mixture:
     k = int(rng.integers(1, max_k + 1))
     picks = rng.choice(len(group), size=k, replace=False)
     weights = rng.dirichlet(np.ones(k))
-    return tuple((group[i], float(w)) for i, w in zip(picks, weights))
+    return Mixture(tuple((group[i], float(w)) for i, w in zip(picks, weights)))
 
 
 def check_marginal_bridge(runs: int = 50, max_n: int = 4, steps: int = 20, seed: int = 7) -> CheckResult:
@@ -208,9 +206,9 @@ def check_marginal_bridge(runs: int = 50, max_n: int = 4, steps: int = 20, seed:
         h = mg.marginal_init(n)
         beliefs, marginals = [], []
         for _ in range(steps):
-            components = _random_mixture(rng, group, min(4, len(group)))
-            b = jt.mixture_symbol(n, components, action="position").apply(b)
-            h = mg.marginal_mix(h, mg.MixSpec(components))
+            mixture = _random_mixture(rng, group, min(4, len(group)))
+            b = jt.mixture_symbol(n, mixture, action="position").apply(b)
+            h = mg.marginal_mix(h, mg.MixSpec(mixture))
             beliefs.append(b)
             marginals.append(h)
         gap = np.abs(np.array(marginals) - mg.joint_to_marginal(np.array(beliefs), n)).max(initial=0.0)
@@ -221,8 +219,8 @@ def check_marginal_bridge(runs: int = 50, max_n: int = 4, steps: int = 20, seed:
     for _ in range(50):
         b = one_hot(6, 0)
         for _ in range(int(rng.integers(1, 7))):
-            components = _random_mixture(rng, group, 3)
-            b = jt.mixture_symbol(3, components, action="position").apply(b)
+            mixture = _random_mixture(rng, group, 3)
+            b = jt.mixture_symbol(3, mixture, action="position").apply(b)
         prefixes.append(b)
     targets = [
         (mg.RevealSpec(position, element), jt.placement_reveal_symbol(3, position, element).mask)

@@ -22,8 +22,8 @@ elements act two ways:
   (c -> compose(g, c)); a "swap items 1 and 2 wherever they are" command.
 
 Arrangement symbols store their kernels as ``PermutationMixture`` gathers
-built from ``perm.one_line_table(n)``: a mixture of k group elements costs
-k gathers of length n! per step, and a reveal is the identity gather.
+built from ``perm.one_line_table(n)``: a ``perm.Mixture`` of k group elements
+costs k gathers of length n! per step, and a reveal is the identity gather.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .automaton import PermutationMixture, Pfsa, Symbol
-from .perm import Permutation, check_mixture, lex_index, lex_indices, one_line_table
+from .perm import Mixture, Permutation, lex_index, lex_indices, one_line_table
 
 
 class MassUnderflowError(ArithmeticError):
@@ -131,22 +131,22 @@ _PULLBACKS = {
 
 def mixture_symbol(
     n: int,
-    components: Sequence[tuple[Permutation, float]],
+    mixture: Mixture | Sequence[tuple[Permutation, float]],
     action: str = "position",
     name: str = "mix",
 ) -> Symbol:
     """Transition-only symbol applying a convex mixture of group elements.
 
     ``action`` is "position" or "element" (see module docstring). The
-    components must pass ``perm.check_mixture`` and act on ``n`` items.
+    ``perm.Mixture`` (or bare pairs, through ``Mixture.of``) must act on ``n`` items.
     """
     if action not in _PULLBACKS:
         raise KeyError(action)
-    size, weights = check_mixture(components)
-    if size != n:
-        raise ValueError(f"mixture components act on {size} items, expected {n}")
-    sources = [_gather(action, g.mapping) for g, _ in components]
-    return Symbol(name, PermutationMixture(sources, weights), _all_states(math.factorial(n)))
+    mixture = Mixture.of(mixture)
+    if mixture.n != n:
+        raise ValueError(f"mixture components act on {mixture.n} items, expected {n}")
+    sources = [_gather(action, g.mapping) for g, _ in mixture.components]
+    return Symbol(name, PermutationMixture(sources, mixture.weights), _all_states(math.factorial(n)))
 
 
 # Holds every element of S_2..S_4 under both actions; at n = 8 a full cache

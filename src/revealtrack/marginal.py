@@ -7,8 +7,8 @@ Two linear updates move the state:
 
 - mixing: H <- P_s @ H with P_s a convex combination of permutation
   matrices acting on positions (rows); doubly stochastic H stays doubly
-  stochastic. A ``MixSpec`` builds its read-only P_s once, when it is
-  constructed, so a mix step is one n-by-n product.
+  stochastic. A ``MixSpec`` builds its read-only P_s from its ``perm.Mixture``
+  once, when it is constructed, so a mix step is one n-by-n product.
 - reveal of "position i holds element j": H <- D_l @ H @ D_r + B with
   D_l = I - e_i e_i^T, D_r = I - e_j e_j^T, B = e_i e_j^T. Entry (i, j)
   becomes 1 and the rest of the cross is zeroed; everything else is
@@ -31,7 +31,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .perm import Permutation, check_mixture, one_line_table, to_matrix
+from .perm import Mixture, one_line_table, to_matrix
 
 
 class NoSupportError(ValueError):
@@ -41,24 +41,21 @@ class NoSupportError(ValueError):
 
 @dataclass(frozen=True)
 class MixSpec:
-    """A probabilistic shuffle: permutations of positions with weights."""
+    """A probabilistic shuffle of positions: a ``perm.Mixture`` and its matrix."""
 
     label: ClassVar[str] = "mix"
-    components: tuple[tuple[Permutation, float], ...]
+    mixture: Mixture
     # Read-only P_s = sum_i c_i P_i, built once from the components.
     matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n, _weights = check_mixture(self.components)
-        out = np.zeros((n, n))
-        for p, w in self.components:
+        mixture = Mixture.of(self.mixture)
+        out = np.zeros((mixture.n, mixture.n))
+        for p, w in mixture.components:
             out += w * to_matrix(p)
         out.setflags(write=False)
+        object.__setattr__(self, "mixture", mixture)
         object.__setattr__(self, "matrix", out)
-
-    @property
-    def n(self) -> int:
-        return self.components[0][0].n
 
 
 @dataclass(frozen=True)

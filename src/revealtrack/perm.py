@@ -12,6 +12,8 @@ Conventions used throughout the package:
 - ``apply(p, items)`` moves the item in slot ``i`` to slot ``p(i)`` (the
   "shuffle cups between positions" action, matching ``to_matrix`` acting on
   one-hot position vectors).
+- A convex mixture of group elements is a ``Mixture``, validated once when
+  built; ``Mixture.of`` is the one coercion from bare pairs.
 - Randomness always comes from an explicit ``numpy.random.Generator``
   (PCG64 via ``numpy.random.default_rng(seed)``); callers own their
   generators and record the 64-bit seed.
@@ -20,7 +22,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -106,25 +108,43 @@ def sample_uniform(n: int, rng: np.random.Generator) -> Permutation:
     return Permutation(tuple(int(v) for v in rng.permutation(n)))
 
 
-def check_mixture(components: Sequence[tuple[Permutation, float]]) -> tuple[int, np.ndarray]:
-    """The size and the weights of a convex mixture of group elements given
-    as ``(Permutation, weight)`` pairs.
+@dataclass(frozen=True)
+class Mixture:
+    """A convex mixture of group elements as ``(Permutation, weight)`` pairs,
+    validated here and nowhere else: ValueError unless it is nonempty, its
+    weights are finite, nonnegative and sum to 1 within 1e-12, and every
+    component acts on the same number of items. ``n`` and the read-only
+    ``weights`` are left out of equality and repr."""
 
-    Raises ValueError unless the mixture is nonempty, its weights are
-    finite, nonnegative and sum to 1 within 1e-12, and every component acts
-    on the same number of items.
-    """
-    if not components:
-        raise ValueError("mixture needs at least one component")
-    weights = np.array([w for _, w in components], dtype=float)
-    if not np.all(np.isfinite(weights)):
-        raise ValueError(f"weights {weights} are not finite")
-    if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
-        raise ValueError(f"weights {weights} are not a distribution")
-    sizes = {p.n for p, _ in components}
-    if len(sizes) != 1:
-        raise ValueError("mixture components act on different sizes")
-    return sizes.pop(), weights
+    components: tuple[tuple[Permutation, float], ...]
+    n: int = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        components = tuple((p, float(w)) for p, w in self.components)
+        if not components:
+            raise ValueError("mixture needs at least one component")
+        weights = np.array([w for _, w in components])
+        if not np.isfinite(weights).all():
+            raise ValueError(f"weights {weights} are not finite")
+        if (weights < 0).any() or abs(weights.sum() - 1.0) > 1e-12:
+            raise ValueError(f"weights {weights} are not a distribution")
+        sizes = {p.n for p, _ in components}
+        if len(sizes) != 1:
+            raise ValueError("mixture components act on different sizes")
+        weights.setflags(write=False)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "n", sizes.pop())
+        object.__setattr__(self, "weights", weights)
+
+    def __reduce__(self):
+        # Unpickle through validation, which makes ``weights`` read-only again.
+        return type(self), (self.components,)
+
+    @classmethod
+    def of(cls, mixture: Mixture | Sequence[tuple[Permutation, float]]) -> Mixture:
+        """``mixture`` itself if it is a Mixture, else the Mixture of its pairs."""
+        return mixture if isinstance(mixture, cls) else cls(mixture)
 
 
 @lru_cache(maxsize=None)

@@ -41,7 +41,7 @@ import numpy as np
 from .automaton import InconsistentObservationError, Pfsa, reveal_only, transition_only
 from .joint import mixture_symbol, placement_reveal_symbol, survival
 from .marginal import MixSpec, RevealSpec, marginal_init, marginal_step
-from .perm import identity, transposition
+from .perm import Mixture, identity, transposition
 
 RESET = "reset"
 
@@ -162,7 +162,7 @@ def adversarial_marginal_scenario(cycles: int) -> MarginalScenario:
     """
     if cycles < 0:
         raise ValueError("cycles must be >= 0")
-    mix = MixSpec(((identity(3), 0.5), (transposition(3, 1, 2), 0.5)))
+    mix = MixSpec(Mixture(((identity(3), 0.5), (transposition(3, 1, 2), 0.5))))
     reveal = RevealSpec(position=1, element=1)
     steps: list[Union[MixSpec, RevealSpec]] = []
     for _ in range(cycles):
@@ -189,7 +189,7 @@ def noisy_swap_s3() -> Pfsa:
     "position 0 holds element 2"."""
     fuzzy = mixture_symbol(
         3,
-        [(transposition(3, 0, 1), 0.5), (transposition(3, 0, 2), 0.5)],
+        Mixture(((transposition(3, 0, 1), 0.5), (transposition(3, 0, 2), 0.5))),
         action="element",
         name="fuzzy_swap",
     )

@@ -169,6 +169,8 @@ def test_mixture_symbol_validation():
         mixture_symbol(3, [(transposition(3, 0, 1), 0.7), (transposition(3, 0, 2), 0.7)])
     with pytest.raises(KeyError):
         mixture_symbol(3, [(transposition(3, 0, 1), 1.0)], action="sideways")
+    with pytest.raises(ValueError, match="act on 4 items, expected 3"):
+        mixture_symbol(3, [(transposition(4, 0, 1), 1.0)])
 
 
 def test_position_action_mixture_is_column_stochastic_permutation_blend():

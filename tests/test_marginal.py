@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,15 @@ from revealtrack.marginal import (
     vectorized_step,
 )
 from revealtrack.joint import mixture_symbol, placement_reveal_symbol
-from revealtrack.perm import Permutation, identity, sample_uniform, symmetric_group, to_matrix, transposition
+from revealtrack.perm import (
+    Mixture,
+    Permutation,
+    identity,
+    sample_uniform,
+    symmetric_group,
+    to_matrix,
+    transposition,
+)
 
 HALF_SWAP_12 = MixSpec(((identity(3), 0.5), (transposition(3, 1, 2), 0.5)))
 
@@ -70,8 +80,8 @@ def test_mix_rejects_non_finite_weights(bad):
 
 def _per_call_realized(mix: MixSpec) -> np.ndarray:
     """P_s built from scratch, as every mix step once did."""
-    out = np.zeros((mix.n, mix.n))
-    for p, w in mix.components:
+    out = np.zeros((mix.mixture.n, mix.mixture.n))
+    for p, w in mix.mixture.components:
         out += w * to_matrix(p)
     return out
 
@@ -119,7 +129,58 @@ def test_mix_matrix_is_built_once(monkeypatch):
     twin = MixSpec(components)
     assert twin == mix and hash(twin) == hash(mix)
     assert twin.matrix is not mix.matrix
-    assert repr(mix) == f"MixSpec(components={components!r})"
+    assert repr(mix) == f"MixSpec(mixture=Mixture(components={components!r}))"
+
+
+def _count_mixtures(monkeypatch) -> list:
+    """Record every ``Mixture`` built, and so validated, from now on."""
+    built = []
+    validate = Mixture.__post_init__
+
+    def counting(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(Mixture, "__post_init__", counting)
+    return built
+
+
+def test_mix_spec_holds_one_mixture_whatever_the_container(monkeypatch):
+    listed = MixSpec([(identity(3), 1.0)])
+    tupled = MixSpec(((identity(3), 1.0),))
+    assert listed == tupled and hash(listed) == hash(tupled)
+
+    rng = np.random.default_rng(21)
+    group = symmetric_group(4)
+    picks = rng.choice(len(group), size=3, replace=False)
+    pairs = [(group[i], float(w)) for i, w in zip(picks, rng.dirichlet(np.ones(3)))]
+    mixture = Mixture(pairs)
+    built = _count_mixtures(monkeypatch)
+    spec = MixSpec(mixture)
+    symbol = mixture_symbol(4, mixture)
+    assert spec.mixture is mixture and built == []
+
+    from_pairs = mixture_symbol(4, pairs)
+    assert np.array_equal(np.asarray(from_pairs.transition), np.asarray(symbol.transition))
+    assert np.array_equal(from_pairs.transition.weights, symbol.transition.weights)
+    v = rng.random(len(group))
+    assert np.array_equal(from_pairs.apply(v), symbol.apply(v))
+    assert np.array_equal(MixSpec(pairs).matrix, spec.matrix)
+    assert len(built) == 2  # one Mixture for each consumer handed pairs
+
+    assert not mixture.weights.flags.writeable
+    with pytest.raises(ValueError):
+        mixture.weights[0] = 1.0
+    twin = pickle.loads(pickle.dumps(mixture))
+    assert twin == mixture and hash(twin) == hash(mixture) and twin.n == 4
+    assert np.array_equal(twin.weights, mixture.weights) and not twin.weights.flags.writeable
+
+
+def test_bridge_check_validates_each_mixture_once(monkeypatch):
+    built = _count_mixtures(monkeypatch)
+    assert check_marginal_bridge(runs=50, max_n=4, steps=20, seed=20260811).passed
+    # 50 runs of 20 mixing steps, then 168 mixing steps over the 50 prefixes.
+    assert len(built) == 1168
 
 
 def test_reveal_pins_cross():

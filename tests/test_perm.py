@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from revealtrack.perm import (
+    Mixture,
     Permutation,
     apply,
     compose,
@@ -43,6 +44,23 @@ def test_invalid_mapping_rejected():
         Permutation((1, 2, 3))
     with pytest.raises(ValueError):
         Permutation(())
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ((), "at least one component"),
+        (((identity(3), 0.6), (transposition(3, 0, 1), 0.6)), "not a distribution"),
+        (((identity(3), -0.5), (transposition(3, 0, 1), 1.5)), "not a distribution"),
+        (((identity(3), np.nan), (transposition(3, 0, 1), 0.5)), "not finite"),
+        (((identity(3), np.inf), (transposition(3, 0, 1), 0.5)), "not finite"),
+        (((identity(3), -np.inf), (transposition(3, 0, 1), 0.5)), "not finite"),
+        (((identity(3), 0.5), (transposition(4, 0, 1), 0.5)), "act on different sizes"),
+    ],
+)
+def test_mixture_rejects_invalid_components(pairs, message):
+    with pytest.raises(ValueError, match=message):
+        Mixture(pairs)
 
 
 def test_swap_composed_with_itself_is_identity():
