@@ -18,6 +18,14 @@ where ``z`` is the 0/1 diagonal mask of the reveal set. A symbol with
 vacuous); a symbol whose ``T`` is the identity is reveal-only (the state
 does not move).
 
+An automaton is valid when built, and nothing checks it again. A
+``PermutationMixture`` raises ``ValueError`` unless its weights are finite,
+nonnegative and sum to 1 within 1e-12 and each index row is a permutation
+of range(m). A ``Symbol`` raises unless its reveal set is a nonempty subset
+of range(m) and a dense kernel is finite and nonnegative with every column
+summing to 1 within 1e-12; a ``Pfsa`` raises unless 0 <= q0 < m. So every
+belief update starts from a finite column-stochastic kernel.
+
 A kernel is stored in one of two forms. General kernels are dense m-by-m
 arrays. A convex mixture of k permutation matrices, such as a shuffle of
 arrangements, is a ``PermutationMixture``: k index gathers and k weights,
@@ -64,6 +72,31 @@ class AutomatonFormatError(ValueError):
     """The textual automaton document is malformed."""
 
 
+def _simplex_error(x: np.ndarray, what: str) -> str | None:
+    """Why ``x``, a vector or a matrix read by columns, is not a probability
+    distribution, or None when it is one: the entries must be finite and
+    nonnegative, and each sum within ``_SIMPLEX_ATOL`` of 1.
+
+    The passing path is three reductions for a vector and four for a
+    matrix; the message is built only on failure. NaN fails both entry
+    bounds, and entries at most 1 keep the sums from overflowing. Starting
+    both bounds at 0 changes nothing for a nonempty x and lets an empty one
+    reach its sum, 0.
+    """
+    lo, hi = np.minimum.reduce(x, axis=None, initial=0.0), np.maximum.reduce(x, axis=None, initial=0.0)
+    if lo >= 0.0 and hi <= 1.0 + _SIMPLEX_ATOL:
+        off = abs(np.add.reduce(x, axis=0) - 1.0)  # a float for a vector
+        if x.ndim == 1:
+            return None if off <= _SIMPLEX_ATOL else f"{what} sums to {float(x.sum())!r}, expected 1"
+        if np.maximum.reduce(off) <= _SIMPLEX_ATOL:
+            return None
+        j = int(off.argmax())
+        return f"{what} column {j} sums to {float(x[:, j].sum())!r}, expected 1"
+    if not np.isfinite(x).all():
+        return f"{what} has non-finite entries"
+    return f"{what} has {'negative entries' if lo < 0.0 else 'entries above 1'}"
+
+
 class PermutationMixture:
     """The kernel T = sum_g weights[g] * P_g with k permutation matrices P_g,
     stored as gathers: row g of the read-only (k, m) array ``sources`` holds,
@@ -85,7 +118,17 @@ class PermutationMixture:
             raise ValueError(f"sources must be a (k, m) integer array, got {sources.shape}")
         if weights.shape != sources.shape[:1] or not len(weights):
             raise ValueError(f"{sources.shape[0]} index rows but weights of shape {weights.shape}")
-        self.sources = sources.astype(np.intp)
+        bad = _simplex_error(weights, "mixture weight vector")
+        if bad:
+            raise ValueError(bad)
+        sources = sources.astype(np.intp)
+        m = sources.shape[1]
+        # Each row is a permutation when it sorts to 0, 1, ..., m - 1.
+        rows = np.sort(sources, axis=1)
+        if rows.tobytes() != np.arange(m, dtype=np.intp).tobytes() * len(rows):
+            g = (rows != np.arange(m)).any(axis=1).argmax()
+            raise ValueError(f"index row {g} is not a permutation of range({m})")
+        self.sources = sources
         self.weights = weights
         self.sources.setflags(write=False)
         self.weights.setflags(write=False)
@@ -176,7 +219,8 @@ def _pruned_step(t: PermutationMixture, mask: np.ndarray, v: np.ndarray) -> np.n
 
 @dataclass(frozen=True)
 class Symbol:
-    """One input symbol: a transition kernel plus a reveal set.
+    """One input symbol: a transition kernel plus a reveal set, both checked
+    when the symbol is built (see the module docstring).
 
     The kernel is a ``PermutationMixture`` when one is given and a dense
     read-only array otherwise. ``apply`` runs a step chosen once, at
@@ -189,9 +233,8 @@ class Symbol:
 
     name: str
     transition: np.ndarray | PermutationMixture  # (m, m), column-stochastic
-    reveal: frozenset[int]
-    # 0/1 diagonal of the reveal matrix. Indices outside range(m) are left
-    # out here and reported by ``validate``.
+    reveal: frozenset[int]  # nonempty, inside range(m)
+    # 0/1 diagonal of the reveal matrix.
     mask: np.ndarray = field(init=False, repr=False, compare=False)
     _step: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False, compare=False)
 
@@ -204,6 +247,8 @@ class Symbol:
             t = t.copy()
             t.setflags(write=False)
             object.__setattr__(self, "transition", t)
+        if not _NAME_RE.match(self.name):
+            raise ValueError(f"symbol name {self.name!r} must match {_NAME_RE.pattern}")
         reveal = self.reveal
         # A frozenset of ints is kept as given; checking the element types
         # costs about a quarter of rebuilding the set.
@@ -211,18 +256,20 @@ class Symbol:
             reveal = frozenset(int(q) for q in reveal)
             object.__setattr__(self, "reveal", reveal)
         m = t.shape[0]
-        try:
-            index = np.fromiter(reveal, np.intp, len(reveal))
-        except OverflowError:  # an index past intp is out of range too
-            index = np.fromiter((q for q in reveal if 0 <= q < m), np.intp)
-        inside = index[(index >= 0) & (index < m)]
+        if not reveal:
+            raise ValueError(f"symbol {self.name!r}: reveal set is empty")
+        if min(reveal) < 0 or max(reveal) >= m:
+            far = min(reveal) if min(reveal) < 0 else max(reveal)
+            raise ValueError(f"symbol {self.name!r}: reveals state {far}, outside range({m})")
+        if isinstance(t, np.ndarray):
+            bad = _simplex_error(t, "transition matrix")
+            if bad:
+                raise ValueError(f"symbol {self.name!r}: {bad}")
         mask = np.zeros(m)
-        mask[inside] = 1.0
+        mask[np.fromiter(reveal, np.intp, len(reveal))] = 1.0
         mask.setflags(write=False)
         object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "_step", _forward_step(t, mask, len(inside) == m))
-        if not _NAME_RE.match(self.name):
-            raise ValueError(f"symbol name {self.name!r} must match {_NAME_RE.pattern}")
+        object.__setattr__(self, "_step", _forward_step(t, mask, len(reveal) == m))
 
     @property
     def m(self) -> int:
@@ -258,7 +305,8 @@ class Symbol:
 
 @dataclass(frozen=True)
 class Pfsa:
-    """An immutable automaton: symbols plus the initial state index."""
+    """An immutable automaton: symbols with unique names over one state
+    count m, plus the initial state index q0 in range(m)."""
 
     symbols: tuple[Symbol, ...]
     q0: int
@@ -272,6 +320,8 @@ class Pfsa:
         names = [s.name for s in self.symbols]
         if len(set(names)) != len(names):
             raise ValueError("symbol names must be unique")
+        if not 0 <= self.q0 < self.m:
+            raise ValueError(f"q0={self.q0} out of range for m={self.m}")
 
     @property
     def m(self) -> int:
@@ -290,11 +340,6 @@ class Pfsa:
 
 def reveal_only(m: int, subset, name: str = "reveal") -> Symbol:
     """A symbol that prunes the belief to ``subset`` without moving state."""
-    subset = frozenset(int(q) for q in subset)
-    if not subset:
-        raise ValueError("reveal subset must be nonempty")
-    if any(not 0 <= q < m for q in subset):
-        raise ValueError(f"reveal subset {sorted(subset)} out of range for m={m}")
     return Symbol(name, np.eye(m), subset)
 
 
@@ -303,73 +348,16 @@ def transition_only(m: int, transition, name: str = "step") -> Symbol:
     t = np.asarray(transition, dtype=float)
     if t.shape != (m, m):
         raise ValueError(f"expected a {m}x{m} matrix, got {t.shape}")
-    sym = Symbol(name, t, frozenset(range(m)))
-    bad = _column_violations(t)
-    if bad:
-        raise ValueError("; ".join(bad))
-    return sym
-
-
-def _mixture_violations(t: PermutationMixture) -> list[str]:
-    out = []
-    w = t.weights
-    if not np.all(np.isfinite(w)):
-        out.append("mixture weights are non-finite")
-    elif np.any(w < 0):
-        out.append("mixture has negative weights")
-    elif abs(w.sum() - 1.0) > _SIMPLEX_ATOL:
-        out.append(f"mixture weights sum to {w.sum()!r}, expected 1")
-    m = t.shape[0]
-    for g, src in enumerate(t.sources):
-        if not np.array_equal(np.sort(src), np.arange(m)):
-            out.append(f"index row {g} is not a permutation of range({m})")
-    return out
-
-
-def _column_violations(t: np.ndarray) -> list[str]:
-    if not np.all(np.isfinite(t)):
-        return ["transition matrix has non-finite entries"]
-    out = []
-    if np.any(t < 0):
-        out.append("transition matrix has negative entries")
-    sums = t.sum(axis=0)
-    worst = np.argmax(np.abs(sums - 1.0))
-    if abs(sums[worst] - 1.0) > _SIMPLEX_ATOL:
-        out.append(f"column {worst} sums to {sums[worst]!r}, expected 1")
-    return out
-
-
-def validate(a: Pfsa) -> list[str]:
-    """Check automaton invariants; returns a list of violations (empty = ok)."""
-    problems: list[str] = []
-    if not 0 <= a.q0 < a.m:
-        problems.append(f"q0={a.q0} out of range for m={a.m}")
-    for idx, sym in enumerate(a.symbols):
-        t = sym.transition
-        check = _mixture_violations if isinstance(t, PermutationMixture) else _column_violations
-        for msg in check(t):
-            problems.append(f"symbol {sym.name!r}: {msg}")
-        if not sym.reveal:
-            problems.append(f"symbol {sym.name!r}: reveal set is empty")
-        elif any(not 0 <= q < a.m for q in sym.reveal):
-            problems.append(f"symbol {sym.name!r}: reveal set out of range")
-    return problems
+    return Symbol(name, t, frozenset(range(m)))
 
 
 def validate_belief(b: np.ndarray, m: int) -> list[str]:
     """Check that b is a probability vector over m states."""
-    problems = []
     b = np.asarray(b)
     if b.shape != (m,):
-        problems.append(f"belief shape {b.shape}, expected ({m},)")
-        return problems
-    if not np.all(np.isfinite(b)):
-        return ["belief has non-finite entries"]
-    if np.any(b < 0):
-        problems.append("belief has negative entries")
-    if abs(b.sum() - 1.0) > _SIMPLEX_ATOL:
-        problems.append(f"belief sums to {b.sum()!r}")
-    return problems
+        return [f"belief shape {b.shape}, expected ({m},)"]
+    bad = _simplex_error(b, "belief")
+    return [bad] if bad else []
 
 
 def one_hot(m: int, q: int) -> np.ndarray:
@@ -595,7 +583,7 @@ def loads_automaton(text: str) -> Pfsa:
     except ValueError as exc:
         raise AutomatonFormatError(str(exc)) from exc
 
-    symbols = []
+    blocks = []
     while pos < len(lines) and lines[pos].strip():
         name = take("symbol")
         reveal_text = take("reveal")
@@ -613,10 +601,15 @@ def loads_automaton(text: str) -> Pfsa:
                 raise AutomatonFormatError(f"bad matrix row {raw!r}") from exc
             if len(row) != m:
                 raise AutomatonFormatError(f"row of length {len(row)}, expected {m}")
-            if not all(math.isfinite(v) for v in row):
-                raise AutomatonFormatError(f"non-finite entry in matrix row {raw!r}")
             rows.append(row)
-        symbols.append(Symbol(name, np.array(rows), subset))
-    if not symbols:
+        blocks.append((name, np.array(rows), subset))
+    # Blank lines may only end the document.
+    for k in range(pos, len(lines)):
+        if lines[k].strip():
+            raise AutomatonFormatError(f"line {k + 1}: {lines[k]!r} follows a blank line")
+    if not blocks:
         raise AutomatonFormatError("document defines no symbols")
-    return Pfsa(tuple(symbols), q0=q0)
+    try:
+        return Pfsa(tuple(Symbol(*block) for block in blocks), q0=q0)
+    except ValueError as exc:
+        raise AutomatonFormatError(str(exc)) from exc

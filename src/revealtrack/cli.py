@@ -39,7 +39,7 @@ import numpy as np
 from . import __version__, checks
 from . import scenarios as sc
 from . import trace as tr
-from .automaton import DeadEndError, belief_trajectory, read_automaton, sample_trajectory, validate
+from .automaton import DeadEndError, belief_trajectory, read_automaton, sample_trajectory
 
 
 class _Table(dict):
@@ -111,9 +111,6 @@ def _run_decay(config: dict, out: Path) -> str:
 
 def _run_simulate(config: dict, out: Path) -> str:
     automaton = read_automaton(config["automaton"])
-    problems = validate(automaton)
-    if problems:
-        raise ValueError("invalid automaton: " + "; ".join(problems))
     rng = np.random.default_rng(config["seed"])
     trajectory = sample_trajectory(automaton, config["steps"], rng)
     beliefs = belief_trajectory(automaton, trajectory.symbols)

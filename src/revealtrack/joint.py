@@ -71,7 +71,13 @@ class JointLinearState:
 
 
 def joint_init(b0: np.ndarray) -> JointLinearState:
+    """The state h = b0. Raises ValueError unless every entry of b0 is
+    finite and nonnegative; the zero vector is allowed."""
     b0 = np.asarray(b0, dtype=float)
+    bad = ~np.isfinite(b0) | (b0 < 0)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"prior entry {i} is {float(b0.flat[i])!r}; entries must be finite and nonnegative")
     total = b0.sum()
     return JointLinearState(b0, math.log(total) if total > 0 else -math.inf)
 

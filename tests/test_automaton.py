@@ -27,7 +27,6 @@ from revealtrack.automaton import (
     reveal_only,
     sample_trajectory,
     transition_only,
-    validate,
     validate_belief,
     write_automaton,
 )
@@ -184,21 +183,19 @@ def test_empirical_transition_frequencies():
         assert abs(counts[i] - draws * p) <= 3 * sigma, (i, counts[i])
 
 
-def test_validate_reports_violations():
-    bad_t = np.array([[0.5, 0.5], [0.499, 0.5]])
-    bad = Pfsa((Symbol("wonky", bad_t, frozenset({0})),), q0=0)
-    problems = validate(bad)
-    assert any("sums to" in msg for msg in problems)
-
-    empty = Pfsa((Symbol("mute", np.eye(2), frozenset()),), q0=0)
-    assert any("empty" in msg for msg in validate(empty))
-
-    for reveal in ({0, 2}, {-1}):
-        far = Pfsa((Symbol("far", np.eye(2), frozenset(reveal)),), q0=0)
-        assert any("out of range" in msg for msg in validate(far))
-
-    assert validate(hidden_swap_automaton()) == []
-    assert any("q0" in msg for msg in validate(Pfsa((Symbol("id", np.eye(2), frozenset({0})),), q0=5)))
+def test_invalid_symbols_and_automata_do_not_construct():
+    with pytest.raises(ValueError, match="column 0 sums to 0.999"):
+        Symbol("wonky", np.array([[0.5, 0.5], [0.499, 0.5]]), frozenset({0}))
+    with pytest.raises(ValueError, match="reveal set is empty"):
+        Symbol("mute", np.eye(2), frozenset())
+    for reveal in ({0, 2}, {-1}, {10**30}):
+        with pytest.raises(ValueError, match="outside range"):
+            Symbol("far", np.eye(2), frozenset(reveal))
+    with pytest.raises(ValueError, match="q0=5"):
+        Pfsa((Symbol("id", np.eye(2), frozenset({0})),), q0=5)
+    with pytest.raises(ValueError, match="negative"):
+        Symbol("neg", np.array([[1.5, 0.0], [-0.5, 1.0]]), frozenset({0}))
+    hidden_swap_automaton()  # a valid automaton builds
 
 
 def test_symbol_keeps_a_frozenset_of_ints():
@@ -212,14 +209,6 @@ def test_symbol_keeps_a_frozenset_of_ints():
         assert all(type(q) is int for q in built.reveal)
         assert built == kept and hash(built) == hash(kept)
         np.testing.assert_array_equal(built.mask, kept.mask)
-    far = Symbol("far", np.eye(2), frozenset({0, 5}))
-    assert far.reveal == {0, 5}
-    assert any("out of range" in msg for msg in validate(Pfsa((far,), q0=0)))
-    # Out-of-range indices stay out of the mask; an unfiltered index -1
-    # would set the last entry.
-    np.testing.assert_array_equal(far.mask, [1.0, 0.0])
-    for reveal in (frozenset({-1}), frozenset(), frozenset({10**30})):
-        np.testing.assert_array_equal(Symbol("off", np.eye(2), reveal).mask, [0.0, 0.0])
 
 
 def _apply_cases(rng, m):
@@ -249,14 +238,17 @@ def test_apply_matches_the_pruned_product_bit_for_bit():
     symbols = []
     for m in range(1, 9):
         for _ in range(6):
-            t = rng.random((m, m)) * rng.choice([1.0, -1.0], (m, m))
-            t[rng.random((m, m)) < 0.3] = 0.0
-            t[rng.random((m, m)) < 0.1] = -0.0
+            # Column-stochastic, with zero and -0.0 entries.
+            t = rng.random((m, m))
+            zero = rng.random((m, m)) < 0.3
+            t[zero] = 0.0
+            t[zero & (rng.random((m, m)) < 0.3)] = -0.0
+            t[rng.integers(m, size=m), np.arange(m)] += 1.0
+            t /= t.sum(axis=0)
             sources = np.array([rng.permutation(m) for _ in range(rng.integers(1, 5))])
             kernel = PermutationMixture(sources, rng.dirichlet(np.ones(len(sources))))
-            partial = frozenset(np.flatnonzero(rng.random(m) < 0.5).tolist())
-            everything = frozenset(range(m)) | {m + 3}  # an out-of-range index too
-            for reveal in (partial, everything):
+            partial = frozenset(np.flatnonzero(rng.random(m) < 0.5).tolist()) or {m - 1}
+            for reveal in (partial, frozenset(range(m))):
                 symbols += [Symbol("dense", t, reveal), Symbol("mix", kernel, reveal)]
         symbols.append(Symbol("eye", np.eye(m), frozenset(range(0, m, 2))))
         symbols.append(Symbol("gather", PermutationMixture([np.arange(m)], [1.0]), frozenset({m - 1})))
@@ -280,27 +272,44 @@ def test_validate_belief():
     assert validate_belief(np.array([1.0]), 2) != []
 
 
-def test_validate_rejects_non_finite_kernel():
-    nan_kernel = Pfsa((Symbol("nan", [[np.nan, 0.0], [np.nan, 1.0]], frozenset({0, 1})),), q0=0)
-    assert any("non-finite" in msg for msg in validate(nan_kernel))
+def test_symbol_rejects_non_finite_kernel():
+    for kernel in ([[np.nan, 0.0], [np.nan, 1.0]], [[np.inf, 0.0], [0.0, 1.0]], [[-np.inf, 0.0], [2.0, 1.0]]):
+        with pytest.raises(ValueError, match="non-finite"):
+            Symbol("bad", kernel, frozenset({0, 1}))
 
 
-def test_validate_checks_permutation_mixtures():
-    def automaton(sources, weights) -> Pfsa:
-        return Pfsa((Symbol("mix", PermutationMixture(sources, weights), frozenset({0})),), q0=0)
+def test_nan_kernel_cannot_reach_belief_update():
+    def update():
+        a = Pfsa((Symbol("nan", [[np.nan, 0.0], [np.nan, 1.0]], frozenset({0, 1})),), q0=0)
+        return belief_update(a, one_hot(2, 0), 0)
 
+    with pytest.raises(ValueError, match="non-finite"):
+        update()
+
+
+def test_permutation_mixture_rejects_invalid_components():
     swap = [[1, 0, 2], [0, 1, 2]]
-    assert validate(automaton(swap, [0.25, 0.75])) == []
-    assert any("non-finite" in msg for msg in validate(automaton(swap, [np.nan, 1.0])))
-    assert any("not a permutation" in msg for msg in validate(automaton([[1, 1, 2]], [1.0])))
+    Symbol("mix", PermutationMixture(swap, [0.25, 0.75]), frozenset({0}))
+    for weights, message in (
+        ([np.nan, 1.0], "non-finite"),
+        ([np.inf, 0.0], "non-finite"),
+        ([-0.25, 1.25], "negative"),
+        ([0.25, 0.7], "sums to"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            PermutationMixture(swap, weights)
+    for sources in ([[1, 1, 2]], [[0, 1, 3]], [[0, 1, -1]]):
+        with pytest.raises(ValueError, match="index row 0 is not a permutation of range"):
+            PermutationMixture(sources, [1.0])
+    with pytest.raises(ValueError, match="index row 1"):
+        PermutationMixture([[0, 1, 2], [2, 2, 0]], [0.5, 0.5])
 
 
 def test_sample_transition_skips_zero_probability_tail():
-    # Column 0 sums to 1 - 5e-13, which validate accepts; a draw just below
+    # Column 0 sums to 1 - 5e-13, which a Symbol accepts; a draw just below
     # 1 lands past its total and must go to state 1, not to state 2.
     kernel = np.array([[0.6, 0.0, 0.0], [0.4 - 5e-13, 1.0, 0.0], [0.0, 0.0, 1.0]])
     a = Pfsa((Symbol("leaky", kernel, frozenset({0, 1, 2})),), q0=0)
-    assert validate(a) == []
 
     class TopDraw:
         def random(self) -> float:
@@ -338,6 +347,7 @@ def test_sample_trajectory_matches_per_step_draws():
             t[meta.integers(m, size=m), np.arange(m)] += 1.0
             t /= t.sum(axis=0)
             t[meta.integers(m), :] *= meta.choice([1.0, 1e-300])
+            t /= t.sum(axis=0)
             t *= 1.0 - 4e-13 * meta.random(m)
             reveal = range(m) if k == 0 else np.flatnonzero(meta.random(m) < 0.6)
             symbols.append(Symbol(f"s{k}", t, frozenset(int(q) for q in reveal) or {0}))
@@ -412,6 +422,24 @@ def test_document_errors():
         loads_automaton(head + "symbol s\nreveal 0\nT\n1.0\n0.0 1.0\n")
     with pytest.raises(AutomatonFormatError, match="defines no symbols"):
         loads_automaton(head)
+    # Blank lines may end a document but not split it.
+    assert loads_automaton(good + "\n \n") == hidden_swap_automaton()
+    first, second = good.split("symbol check")
+    with pytest.raises(AutomatonFormatError, match="line 10: 'symbol check' follows a blank line"):
+        loads_automaton(first + "\nsymbol check" + second)
+
+
+def test_loads_rejects_invalid_automata():
+    head = "pfsa v1\nstates 2\nq0 {q0}\nsymbol s\nreveal {reveal}\nT\n{kernel}\n"
+    for q0, reveal, kernel, message in (
+        (0, "0", "0.9 0.0\n0.0 1.0", "column 0 sums to"),
+        (0, "0", "1.5 0.0\n-0.5 1.0", "negative"),
+        (0, "", "1.0 0.0\n0.0 1.0", "reveal set is empty"),
+        (0, "0 2", "1.0 0.0\n0.0 1.0", "reveals state 2, outside range"),
+        (2, "0", "1.0 0.0\n0.0 1.0", "q0=2 out of range"),
+    ):
+        with pytest.raises(AutomatonFormatError, match=message):
+            loads_automaton(head.format(q0=q0, reveal=reveal, kernel=kernel))
 
 
 def test_loads_rejects_non_finite_kernel():

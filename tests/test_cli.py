@@ -364,16 +364,25 @@ def test_simulate_missing_file(tmp_path):
     ]) == 2
 
 
-def test_simulate_invalid_automaton(tmp_path):
+def test_simulate_invalid_automaton(tmp_path, capsys):
     bad = tmp_path / "bad.pfsa"
+    head = "pfsa v1\nstates 2\nq0 0\n"
     documents = (
-        ("0", "0.9 0.0\n0.0 1.0"),  # column 0 sums to 0.9
-        ("0 2", "1.0 0.0\n0.0 1.0"),  # reveals state 2 of 2
-        ("0", "nan 0.0\nnan 1.0"),  # non-finite kernel
+        ("0", "0.9 0.0\n0.0 1.0", "column 0 sums to 0.9"),
+        ("0 2", "1.0 0.0\n0.0 1.0", "reveals state 2, outside range(2)"),
+        ("0", "nan 0.0\nnan 1.0", "non-finite"),
     )
-    for reveal, kernel in documents:
-        bad.write_text(f"pfsa v1\nstates 2\nq0 0\nsymbol s\nreveal {reveal}\nT\n{kernel}\n")
+    texts = [(head + f"symbol s\nreveal {reveal}\nT\n{kernel}\n", message) for reveal, kernel, message in documents]
+    # A blank line may end a document but not split it.
+    texts.append((
+        head + "symbol s\nreveal 0 1\nT\n1.0 0.0\n0.0 1.0\n\nsymbol t\nreveal 0\nT\n1.0 0.0\n0.0 1.0\n",
+        "line 10: 'symbol t' follows a blank line",
+    ))
+    for text, message in texts:
+        bad.write_text(text)
         assert main(["simulate", "--automaton", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
 
 
 def test_simulate_dead_end_is_one_line_error(tmp_path, capsys):

@@ -164,6 +164,19 @@ def test_gated_reset():
     assert np.array_equal(pinned.h, one_hot(6, 4))
 
 
+def test_joint_init_rejects_a_bad_prior():
+    for prior, entry in (
+        ([np.nan, 1.0], "entry 0 is nan"),
+        ([-1.0, 2.0], "entry 0 is -1.0"),
+        ([1.0, np.inf], "entry 1 is inf"),
+    ):
+        for start in (joint_init, lambda b: gated_reset(joint_init(one_hot(2, 0)), b)):
+            with pytest.raises(ValueError, match=entry):
+                start(np.array(prior))
+    zero = joint_init(np.zeros(3))  # a decayed state stays representable
+    assert zero.mass == 0.0 and zero.log_mass == -math.inf
+
+
 def test_mixture_symbol_validation():
     with pytest.raises(ValueError):
         mixture_symbol(3, [(transposition(3, 0, 1), 0.7), (transposition(3, 0, 2), 0.7)])
