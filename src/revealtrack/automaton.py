@@ -351,15 +351,6 @@ def transition_only(m: int, transition, name: str = "step") -> Symbol:
     return Symbol(name, t, frozenset(range(m)))
 
 
-def validate_belief(b: np.ndarray, m: int) -> list[str]:
-    """Check that b is a probability vector over m states."""
-    b = np.asarray(b)
-    if b.shape != (m,):
-        return [f"belief shape {b.shape}, expected ({m},)"]
-    bad = _simplex_error(b, "belief")
-    return [bad] if bad else []
-
-
 def one_hot(m: int, q: int) -> np.ndarray:
     b = np.zeros(m)
     b[q] = 1.0

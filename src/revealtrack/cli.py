@@ -15,10 +15,12 @@ The file-producing commands take one path: the parsed flags minus
 ``--out`` are the config, ``_RUNNERS`` gives the runner that writes the
 output and returns the summary to print, and ``<output>.manifest.json``
 records the command, the config, the package and numpy versions, and the
-sha256 of the output and of each input file. ``replay`` checks each
-recorded value against the type its flag parses to and the flag's bounds,
-and that the manifest names one output as a bare file name, then calls
-the same runner on the manifest's config. All randomness descends from
+sha256 of the output and of each input file. ``_check_config`` holds
+the parsed flags and a replayed config alike: each key must be a flag of
+the command, each value must have its flag's type, and an integer must
+be within the bounds its flag's ``add_argument`` declares. ``replay``
+also checks that the manifest names one output as a bare file name, then
+calls the same runner on the manifest's config. All randomness descends from
 the single ``--seed`` flag (per-trace seeds are split deterministically),
 so identical manifests regenerate identical bytes; ``replay`` warns when
 the running numpy, whose random streams may change between versions, or a
@@ -31,7 +33,9 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +62,20 @@ _SCENARIOS = _Table({
     "full-reveal-every-k": lambda c: sc.adversarial_joint_scenario(c["cycles"], reset_every=c["k"]),
 })
 _GRIDS = _Table(none=None, single=sc.SINGLE_PRECISION)
+
+
+@dataclass(frozen=True)
+class _Int:
+    """An integer flag's type, which parses as ``int`` does, and its bounds.
+    Below ``low`` a size draws from an empty range or checks nothing, a
+    variable count has nothing to permute, and a seed is no seed numpy takes."""
+
+    low: int
+    high: float = math.inf
+    __name__ = "int"  # argparse names the type of a malformed value by it
+
+    def __call__(self, text: str) -> int:
+        return int(text)
 
 
 class _KindAction(argparse.Action):
@@ -157,36 +175,6 @@ def _cmd_produce(args: argparse.Namespace) -> int:
     return 0
 
 
-# The smallest value of each integer flag, by command. Below it a size
-# draws from an empty range or writes and checks nothing, a group or
-# variable count has nothing to permute, and a seed is no seed numpy takes.
-_MINIMUMS = {
-    "gen-traces": {"n_vars": 2, "commands": 1, "spacing": 1, "count": 1, "seed": 0, "stage_samples": 1},
-    "decay": {"cycles": 1, "steps": 1, "k": 1},
-    "simulate": {"steps": 1, "seed": 0},
-    "verify": {"runs": 1, "max_n": 2, "steps": 1, "trace_count": 1, "seed": 0},
-}
-# The largest value of the integer flags that have one: a transcript names
-# its variables with single letters.
-_MAXIMUMS = {
-    "gen-traces": {"n_vars": tr.MAX_VARS},
-}
-
-
-def _check_bounds(command: str, config: dict) -> None:
-    """Each integer flag that ``config`` holds must be at least its
-    minimum and at most its maximum, if it has one."""
-    for dest, low in _MINIMUMS.get(command, {}).items():
-        if dest not in config:
-            continue
-        value, flag = config[dest], "--" + dest.replace("_", "-")
-        if value < low:
-            raise ValueError(f"{command} {flag} must be at least {low}, got {value}")
-        high = _MAXIMUMS.get(command, {}).get(dest)
-        if high is not None and value > high:
-            raise ValueError(f"{command} {flag} must be at most {high}, got {value}")
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     results = checks.run_all(**_flags(args))
     for result in results:
@@ -227,23 +215,30 @@ def _replay_conditions(manifest: dict, config: dict, input_keys: tuple) -> list[
 
 
 def _check_config(command: str, config: dict) -> None:
-    """Each recorded value must have the type its flag parses to: an int
-    flag takes an int that is not a bool, a ``store_true`` flag a bool, and
-    every other flag (a table name or a path) a string. An int must then
-    be within its flag's bounds."""
-    for action in build_parser().commands[command]._actions:
-        if action.dest not in config:
-            continue
-        value = config[action.dest]
-        if action.type is int:
+    """Each key of ``config`` must be a flag of ``command``, and each value
+    must have the type its flag parses to: an int flag takes an int that is
+    not a bool and is within the flag's bounds, a ``store_true`` flag a
+    bool, and every other flag (a table name or a path) a string."""
+    # ``--help`` stores nothing, so no config holds it.
+    actions = {a.dest: a for a in build_parser().commands[command]._actions if a.default is not argparse.SUPPRESS}
+    for key, value in config.items():
+        action = actions.get(key)
+        if action is None:
+            raise ValueError(f"manifest config {key!r} is not a flag of {command}")
+        bounds = action.type
+        if isinstance(bounds, _Int):
             ok, expected = type(value) is int, "an integer"
         elif action.nargs == 0:
             ok, expected = type(value) is bool, "true or false"
         else:
             ok, expected = isinstance(value, str), "a string"
         if not ok:
-            raise ValueError(f"manifest config {action.dest!r} must be {expected}, got {json.dumps(value)}")
-    _check_bounds(command, config)
+            raise ValueError(f"manifest config {key!r} must be {expected}, got {json.dumps(value)}")
+        flag = f"{command} {action.option_strings[0]}"
+        if isinstance(bounds, _Int) and value < bounds.low:
+            raise ValueError(f"{flag} must be at least {bounds.low}, got {value}")
+        if isinstance(bounds, _Int) and value > bounds.high:
+            raise ValueError(f"{flag} must be at most {bounds.high}, got {value}")
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
@@ -302,39 +297,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.commands = sub.choices
 
     gen = sub.add_parser("gen-traces", help="generate a transcript dataset (JSONL)")
-    gen.add_argument("--n-vars", type=int, default=5, help="variables per trace")
-    gen.add_argument("--commands", type=int, default=64, help="commands per trace")
-    gen.add_argument("--spacing", type=int, default=1, help="reveal after every S-th command")
+    gen.add_argument("--n-vars", type=_Int(2, tr.MAX_VARS), default=5, help="variables per trace")
+    gen.add_argument("--commands", type=_Int(1), default=64, help="commands per trace")
+    gen.add_argument("--spacing", type=_Int(1), default=1, help="reveal after every S-th command")
     gen.add_argument("--kind", choices=_KIND_FLAGS, default=tr.FULL_PERMUTATION, action=_KindAction)
-    gen.add_argument("--count", type=int, default=1000, help="number of traces")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--count", type=_Int(1), default=1000, help="number of traces")
+    gen.add_argument("--seed", type=_Int(0), default=0)
     gen.add_argument("--curriculum", action="store_true", help="use the four-stage schedule")
-    gen.add_argument("--stage-samples", type=int, default=15000, help="traces per curriculum stage")
+    gen.add_argument("--stage-samples", type=_Int(1), default=15000, help="traces per curriculum stage")
     gen.add_argument("--out", default="traces.jsonl")
     gen.set_defaults(func=_cmd_produce)
 
     decay = sub.add_parser("decay", help="run a decay scenario and write the CSV report")
     decay.add_argument("--scenario", choices=_SCENARIOS, required=True)
-    decay.add_argument("--cycles", type=int, default=20)
-    decay.add_argument("--steps", type=int, default=100, help="steps for the dfa scenario")
-    decay.add_argument("--k", type=int, default=8, help="reset cadence in cycles")
+    decay.add_argument("--cycles", type=_Int(1), default=20)
+    decay.add_argument("--steps", type=_Int(1), default=100, help="steps for the dfa scenario")
+    decay.add_argument("--k", type=_Int(1), default=8, help="reset cadence in cycles")
     decay.add_argument("--emulate", choices=_GRIDS, default="none")
     decay.add_argument("--out", default="decay.csv")
     decay.set_defaults(func=_cmd_produce)
 
     simulate = sub.add_parser("simulate", help="sample a trajectory and log exact beliefs")
     simulate.add_argument("--automaton", required=True, help="automaton document path")
-    simulate.add_argument("--steps", type=int, default=10)
-    simulate.add_argument("--seed", type=int, default=0)
+    simulate.add_argument("--steps", type=_Int(1), default=10)
+    simulate.add_argument("--seed", type=_Int(0), default=0)
     simulate.add_argument("--out", default="simulate.csv")
     simulate.set_defaults(func=_cmd_produce)
 
     verify = sub.add_parser("verify", help="run the self-check suite")
-    verify.add_argument("--runs", type=int, default=200)
-    verify.add_argument("--max-n", type=int, default=5)
-    verify.add_argument("--steps", type=int, default=40)
-    verify.add_argument("--trace-count", type=int, default=300)
-    verify.add_argument("--seed", type=int, default=20260810)
+    verify.add_argument("--runs", type=_Int(1), default=200)
+    verify.add_argument("--max-n", type=_Int(2), default=5)
+    verify.add_argument("--steps", type=_Int(1), default=40)
+    verify.add_argument("--trace-count", type=_Int(1), default=300)
+    verify.add_argument("--seed", type=_Int(0), default=20260810)
     verify.set_defaults(func=_cmd_verify)
 
     replay = sub.add_parser("replay", help="regenerate a manifest's outputs and compare digests")
@@ -348,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        _check_bounds(args.command, _flags(args))
+        _check_config(args.command, _flags(args))
         return args.func(args)
     except (ValueError, OSError, DeadEndError) as exc:
         print(f"error: {exc}", file=sys.stderr)

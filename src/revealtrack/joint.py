@@ -46,7 +46,8 @@ class MassUnderflowError(ArithmeticError):
 @dataclass(frozen=True)
 class JointLinearState:
     """Unnormalized message h, its ell-1 mass ``h.sum()``, and the running
-    log of that mass."""
+    log of that mass. Raises ValueError unless every entry of h is finite
+    and nonnegative; the zero vector is allowed."""
 
     h: np.ndarray
     log_mass: float
@@ -54,6 +55,10 @@ class JointLinearState:
 
     def __post_init__(self) -> None:
         h = np.asarray(self.h, dtype=float).copy()
+        bad = ~np.isfinite(h) | (h < 0)
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(f"prior entry {i} is {float(h.flat[i])!r}; entries must be finite and nonnegative")
         h.setflags(write=False)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "mass", float(h.sum()))
@@ -71,15 +76,9 @@ class JointLinearState:
 
 
 def joint_init(b0: np.ndarray) -> JointLinearState:
-    """The state h = b0. Raises ValueError unless every entry of b0 is
-    finite and nonnegative; the zero vector is allowed."""
-    b0 = np.asarray(b0, dtype=float)
-    bad = ~np.isfinite(b0) | (b0 < 0)
-    if bad.any():
-        i = int(bad.argmax())
-        raise ValueError(f"prior entry {i} is {float(b0.flat[i])!r}; entries must be finite and nonnegative")
-    total = b0.sum()
-    return JointLinearState(b0, math.log(total) if total > 0 else -math.inf)
+    """The state h = b0, checked as ``JointLinearState`` checks it."""
+    state = JointLinearState(b0, -math.inf)
+    return JointLinearState._adopt(state.h, math.log(state.mass), state.mass) if state.mass > 0 else state
 
 
 def joint_step(state: JointLinearState, a: Pfsa, symbol: int) -> JointLinearState:
@@ -185,6 +184,13 @@ def placement_reveal_symbol(n: int, position: int, element: int, name: str = "ob
 
 
 def arrangement_automaton(n: int, symbols: Sequence[Symbol], q0: Permutation | None = None) -> Pfsa:
-    """Bundle arrangement symbols into an automaton starting at ``q0``
-    (identity arrangement by default, which is lex index 0)."""
+    """Bundle arrangement symbols over n items into an automaton starting at
+    ``q0`` (identity arrangement by default, which is lex index 0). Raises
+    ValueError unless every symbol has n! states and ``q0`` acts on n items."""
+    m = math.factorial(n)
+    for symbol in symbols:
+        if symbol.m != m:
+            raise ValueError(f"symbol {symbol.name!r} has {symbol.m} states, expected {n}! = {m}")
+    if q0 is not None and q0.n != n:
+        raise ValueError(f"q0 acts on {q0.n} items, expected {n}")
     return Pfsa(tuple(symbols), q0=lex_index(q0) if q0 is not None else 0)

@@ -413,19 +413,15 @@ def parse(text: str) -> Trace:
             out = _OUTPUT_RE.match(line)
             if not out:
                 raise TraceParseError(f"expected reveal output line, got {line!r}", lineno)
-            name, digits = out.groups()
-            try:
-                value = int(digits)
-            except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
-                raise TraceParseError(str(exc), lineno, out.start(2) + 1) from None
+            name, value = out.group(1), _literal(out, lineno)
             if name != pending_print:
                 raise TraceParseError(
                     f"output line names {name!r} but print revealed {pending_print!r}",
                     lineno,
                 )
-            events.append(_shared(_reveal(names.index(name), value), (lines[lineno - 2], line)))
-            # The value starts past the one-letter name and a space.
-            spans.append((start + 2, start + 2 + len(str(value))))
+            events.append(_reveal(names.index(name), value))
+            # The value fills the line past the one-letter name and a space.
+            spans.append((start + 2, start + len(line)))
             gap, commands_at_reveal = n_commands - commands_at_reveal, n_commands
             if spacing is None:
                 spacing = gap
@@ -441,11 +437,7 @@ def parse(text: str) -> Trace:
         if mark != ",":
             init = mark == " " and _INIT_RE.match(line)
             if init:
-                name, digits = init.groups()
-                try:
-                    value = int(digits)
-                except ValueError as exc:  # as for an output line
-                    raise TraceParseError(str(exc), lineno, init.start(2) + 1) from None
+                name, value = init.group(1), _literal(init, lineno)
                 # As in ``execute``: n_vars counts the inits so far, and the
                 # first other event, if any, is the one just after them.
                 if len(events) != n_vars:
@@ -455,7 +447,7 @@ def parse(text: str) -> Trace:
                 # n_vars < 26 here: after z, every name was initialized.
                 if name != _NAMES[n_vars]:
                     raise TraceParseError(f"out-of-order variable {name!r}", lineno)
-                events.append(_shared(_init(n_vars, value), (line,)))
+                events.append(_init(n_vars, value))
                 names += name
                 n_vars += 1
                 state.append(value)
@@ -497,12 +489,18 @@ def parse(text: str) -> Trace:
     return Trace(config, tuple(events), "\n".join(lines) + "\n", tuple(spans), tuple(state))
 
 
-def _shared(event: TraceEvent, text_lines: tuple[str, ...]) -> TraceEvent:
-    """The shared ``event`` if it renders as ``text_lines``, else a copy
-    that keeps the lines as written (a value with leading zeros, say)."""
-    if event.text_lines == text_lines:
-        return event
-    return TraceEvent(event.kind, text_lines, var=event.var, value=event.value)
+def _literal(match: re.Match, lineno: int) -> int:
+    """The value an init or output line writes in its second group, which
+    must be an integer literal as the interpreter writes it: no leading
+    zero, and no more digits than ``sys.get_int_max_str_digits()``. So the
+    line is the one its shared event renders."""
+    digits, column = match.group(2), match.start(2) + 1
+    if digits[0] == "0" and len(digits) > 1:
+        raise TraceParseError("leading zeros in an integer literal are not permitted", lineno, column)
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise TraceParseError(str(exc), lineno, column) from None
 
 
 class _LineError(Exception):
@@ -591,9 +589,7 @@ def derive_seed(base_seed: int, stage: int, index: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def curriculum(
-    stage_samples: int = 15000, n_vars: int = 5, base_seed: int = 0
-) -> list[list[TraceConfig]]:
+def curriculum(stage_samples: int, n_vars: int = 5, base_seed: int = 0) -> list[list[TraceConfig]]:
     """Four batches of full-permutation configs over ``n_vars`` variables
     with (length, spacing) rising through {(8,1), (16,2), (32,4), (64,8)}."""
     if stage_samples < 1:

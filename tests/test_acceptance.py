@@ -171,7 +171,7 @@ def test_c12_underflow_threshold_and_reset_stability():
 
 
 def test_every_check_carries_its_bounds_as_data():
-    for result in checks.run_all(runs=2, max_n=3, steps=3, trace_count=2):
+    for result in checks.run_all(runs=2, max_n=3, steps=3, trace_count=2, seed=20260810):
         assert result.passed, result.detail
         assert result.bounds, result.name
         for key, relation, limit in result.bounds:

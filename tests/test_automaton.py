@@ -27,7 +27,6 @@ from revealtrack.automaton import (
     reveal_only,
     sample_trajectory,
     transition_only,
-    validate_belief,
     write_automaton,
 )
 from revealtrack.joint import placement_reveal_symbol
@@ -195,7 +194,22 @@ def test_invalid_symbols_and_automata_do_not_construct():
         Pfsa((Symbol("id", np.eye(2), frozenset({0})),), q0=5)
     with pytest.raises(ValueError, match="negative"):
         Symbol("neg", np.array([[1.5, 0.0], [-0.5, 1.0]]), frozenset({0}))
-    hidden_swap_automaton()  # a valid automaton builds
+    with pytest.raises(ValueError, match=r"must be square, got \(2, 3\)"):
+        Symbol("wide", np.ones((2, 3)) / 2, frozenset({0}))
+    for name in ("", "two words", "#hash"):
+        with pytest.raises(ValueError, match="symbol name"):
+            Symbol(name, np.eye(2), frozenset({0}))
+    pin, step = Symbol("pin", np.eye(2), frozenset({0})), Symbol("step", np.eye(3), frozenset({0}))
+    for symbols, message in (
+        ((), "needs at least one symbol"),
+        ((pin, step), r"disagree on state count: \[2, 3\]"),
+        ((pin, pin), "names must be unique"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            Pfsa(symbols, q0=0)
+    a = hidden_swap_automaton()  # a valid automaton builds
+    with pytest.raises(KeyError, match="'absent'"):
+        a.symbol_index("absent")
 
 
 def test_symbol_keeps_a_frozenset_of_ints():
@@ -265,13 +279,6 @@ def test_apply_matches_the_pruned_product_bit_for_bit():
             assert not np.shares_memory(out, v) and out.flags.writeable
 
 
-def test_validate_belief():
-    assert validate_belief(np.array([0.5, 0.5]), 2) == []
-    assert validate_belief(np.array([0.6, 0.5]), 2) != []
-    assert validate_belief(np.array([-0.1, 1.1]), 2) != []
-    assert validate_belief(np.array([1.0]), 2) != []
-
-
 def test_symbol_rejects_non_finite_kernel():
     for kernel in ([[np.nan, 0.0], [np.nan, 1.0]], [[np.inf, 0.0], [0.0, 1.0]], [[-np.inf, 0.0], [2.0, 1.0]]):
         with pytest.raises(ValueError, match="non-finite"):
@@ -289,7 +296,9 @@ def test_nan_kernel_cannot_reach_belief_update():
 
 def test_permutation_mixture_rejects_invalid_components():
     swap = [[1, 0, 2], [0, 1, 2]]
-    Symbol("mix", PermutationMixture(swap, [0.25, 0.75]), frozenset({0}))
+    mix = Symbol("mix", PermutationMixture(swap, [0.25, 0.75]), frozenset({0}))
+    assert repr(mix.transition) == "PermutationMixture(k=2, m=3)"
+    assert mix != "mix"  # a symbol compares only with symbols
     for weights, message in (
         ([np.nan, 1.0], "non-finite"),
         ([np.inf, 0.0], "non-finite"),
@@ -303,6 +312,11 @@ def test_permutation_mixture_rejects_invalid_components():
             PermutationMixture(sources, [1.0])
     with pytest.raises(ValueError, match="index row 1"):
         PermutationMixture([[0, 1, 2], [2, 2, 0]], [0.5, 0.5])
+    for sources in ([0, 1, 2], [[0.0, 1.0, 2.0]]):
+        with pytest.raises(ValueError, match=r"sources must be a \(k, m\) integer array"):
+            PermutationMixture(sources, [1.0])
+    with pytest.raises(ValueError, match=r"2 index rows but weights of shape \(1,\)"):
+        PermutationMixture(swap, [1.0])
 
 
 def test_sample_transition_skips_zero_probability_tail():
@@ -357,10 +371,6 @@ def test_sample_trajectory_matches_per_step_draws():
         assert (got.states, got.symbols) == reference(a, 60, np.random.default_rng(seed))
 
 
-def test_validate_belief_rejects_non_finite():
-    assert validate_belief(np.array([np.nan, 1.0]), 2) != []
-
-
 def test_special_symbol_builders():
     vacuous = reveal_only(3, {0, 1, 2})
     assert np.array_equal(vacuous.transition, np.eye(3))
@@ -373,6 +383,10 @@ def test_special_symbol_builders():
         reveal_only(3, {5})
     with pytest.raises(ValueError):
         transition_only(2, [[0.9, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match=r"expected a 3x3 matrix, got \(2, 2\)"):
+        transition_only(3, np.eye(2))
+    with pytest.raises(ValueError, match="at least one symbol"):
+        random_automaton(3, 0, np.random.default_rng(0))
 
 
 def test_discretization_counts():
@@ -382,6 +396,10 @@ def test_discretization_counts():
     assert marginal_discretization_count(2, 5) == 5
     with pytest.raises(ValueError):
         marginal_discretization_count(3, 1)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        joint_discretization_count(0)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        marginal_discretization_count(0, 2)
 
 
 def test_document_roundtrip_exact(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 
 from revealtrack import checks
 from revealtrack.automaton import write_automaton
-from revealtrack.cli import _MINIMUMS, build_parser, main
+from revealtrack.cli import _Int, build_parser, main
 from revealtrack.scenarios import hidden_swap_automaton
 
 
@@ -438,9 +438,14 @@ def test_integer_flag_below_its_minimum_names_the_flag(tmp_path, capsys, argv, m
 
 
 def test_every_integer_flag_has_a_minimum():
+    # No flag parses with a bare int: every flag with an integer default
+    # declares its bounds in its ``_Int`` type, and they hold the default.
     for command, subparser in build_parser().commands.items():
-        int_flags = {action.dest for action in subparser._actions if action.type is int}
-        assert int_flags == set(_MINIMUMS.get(command, {})), command
+        for action in subparser._actions:
+            assert action.type is not int, (command, action.dest)
+            if type(action.default) is int:
+                assert isinstance(action.type, _Int), (command, action.dest)
+                assert action.type.low <= action.default <= action.type.high, (command, action.dest)
 
 
 def test_integer_flag_above_its_maximum_names_the_flag(tmp_path, capsys):
@@ -665,6 +670,13 @@ def test_replay_checks_each_value_against_its_maximum(tmp_path, capsys):
     assert not (tmp_path / "again").exists()
 
 
+@pytest.mark.parametrize("key, value", [("bogus", 1), ("help", True)])
+def test_replay_rejects_a_key_that_no_flag_has(tmp_path, capsys, key, value):
+    code, err = _replay_edited(tmp_path, capsys, DECAY_ARGV, lambda m: m["config"].update({key: value}))
+    assert (code, err) == (2, f"error: manifest config {key!r} is not a flag of decay\n")
+    assert not (tmp_path / "again").exists()
+
+
 def test_replay_checks_the_command_and_digests_first(tmp_path, capsys):
     code, err = _replay_edited(tmp_path, capsys, DECAY_ARGV, lambda m: m.update(command=["decay"]))
     assert (code, err) == (2, "error: manifest command ['decay'] is not replayable\n")
@@ -700,4 +712,6 @@ def test_replay_rejects_a_non_string_input_digest(tmp_path, capsys):
     argv = ["simulate", "--automaton", str(automaton_path), "--steps", "4"]
     code, err = _replay_edited(tmp_path, capsys, argv, lambda m: m.update(inputs={"automaton": 7}))
     assert (code, err) == (2, "error: manifest inputs must map each input to a digest string\n")
+    code, err = _replay_edited(tmp_path, capsys, argv, lambda m: m.update(inputs=["automaton"]))
+    assert (code, err) == (2, "error: manifest inputs must be a JSON object\n")
     assert not (tmp_path / "again").exists()

@@ -93,6 +93,8 @@ def test_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="not finite"):
             HouseholderStep(1.0, np.array([bad, 0.0]))
+    with pytest.raises(ValueError, match="key must be a vector"):
+        HouseholderStep(1.0, np.eye(2))
     with pytest.raises(ValueError):
         eigenrange_check([])
 

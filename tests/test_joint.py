@@ -177,6 +177,14 @@ def test_joint_init_rejects_a_bad_prior():
     assert zero.mass == 0.0 and zero.log_mass == -math.inf
 
 
+@pytest.mark.parametrize("h, entry", [([np.nan, 1.0], "entry 0 is nan"), ([1.0, -2.0], "entry 1 is -2.0")])
+def test_joint_state_rejects_a_bad_message(h, entry):
+    # The constructor checks what joint_init checks, so a NaN is never
+    # stepped into a log mass of -inf that reads as decay.
+    with pytest.raises(ValueError, match=entry):
+        JointLinearState(np.array(h), 0.0)
+
+
 def test_mixture_symbol_validation():
     with pytest.raises(ValueError):
         mixture_symbol(3, [(transposition(3, 0, 1), 0.7), (transposition(3, 0, 2), 0.7)])
@@ -209,6 +217,13 @@ def test_arrangement_automaton_start_state():
     assert a.q0 == 0
     b = arrangement_automaton(3, [sym], q0=Permutation((2, 1, 0)))
     assert b.q0 == lex_index(Permutation((2, 1, 0)))
+    # The automaton is over n items: a symbol over 4 items, or a start over
+    # 3 items in an automaton over 4, is an error, not another state.
+    mix4 = mixture_symbol(4, [(transposition(4, 0, 1), 1.0)], name="mix4")
+    with pytest.raises(ValueError, match="symbol 'mix4' has 24 states, expected 3! = 6"):
+        arrangement_automaton(3, [mix4])
+    with pytest.raises(ValueError, match="q0 acts on 3 items, expected 4"):
+        arrangement_automaton(4, [mix4], q0=Permutation((1, 0, 2)))
 
 
 def test_dfa_embedding_constant_mass():

@@ -16,6 +16,7 @@ from revealtrack.marginal import (
     marginal_init,
     marginal_mix,
     marginal_reveal,
+    marginal_step,
     reveal_operators,
     sinkhorn_project,
     vectorized_step,
@@ -70,6 +71,8 @@ def test_mix_validation():
         MixSpec(())
     with pytest.raises(ValueError):
         marginal_mix(np.eye(4), HALF_SWAP_12)
+    with pytest.raises(TypeError, match="unknown marginal step 'mix'"):
+        marginal_step(np.eye(3), "mix")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -192,6 +192,9 @@ def test_symmetric_group_enumeration():
         assert lex_index(p) == index
     for n in range(1, 9):
         assert np.array_equal(lex_indices(one_line_table(n)), np.arange(math.factorial(n)))
+    for build in (symmetric_group, one_line_table):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            build(0)
 
 
 def test_apply_validates_length():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from revealtrack.automaton import InconsistentObservationError
 from revealtrack.joint import survival
 from revealtrack.marginal import MixSpec, RevealSpec, marginal_init, marginal_step
 from revealtrack.scenarios import (
@@ -81,6 +82,21 @@ def test_joint_scenario_shape():
         adversarial_joint_scenario(-1)
     with pytest.raises(ValueError):
         adversarial_joint_scenario(2, reset_every=0)
+    for build in (adversarial_marginal_scenario, dfa_scenario):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            build(-1)
+
+
+def test_run_and_report_rejects_what_it_cannot_replay():
+    with pytest.raises(TypeError, match="unknown scenario type"):
+        run_and_report("joint-absorbing")
+    a = adversarial_joint_scenario(1).automaton
+    with pytest.raises(ValueError, match="initial state has no mass"):
+        run_and_report(JointScenario(a, np.zeros(3), ()))
+    # The absorbing state 0 is outside the reveal set.
+    pinned = JointScenario(a, np.array([1.0, 0.0, 0.0]), (a.symbol_index("reveal"),))
+    with pytest.raises(InconsistentObservationError, match="step 1: symbol 'reveal' is inconsistent"):
+        run_and_report(pinned)
 
 
 def test_joint_absorbing_norms_are_exact_halvings():

@@ -302,18 +302,6 @@ def test_parse_memo_never_stores_an_error():
     )
 
 
-def test_parse_keeps_lines_as_written():
-    # A reveal value with a leading zero parses to the same value, keeps its
-    # line and does not alter the shared event of the canonical line.
-    text = ">>> a = 1\n>>> b = 2\n>>> a, b = b, a\n>>> print('a', a)\na 02\n"
-    parsed = parse(text)
-    assert parsed.text == text
-    assert parsed.events[-1].value == 2 and parsed.events[-1].text_lines[1] == "a 02"
-    assert parsed.reveal_spans == ((len(text) - 3, len(text) - 2),)
-    canonical = parse(text.replace("a 02", "a 2"))
-    assert canonical.events[-1].text_lines[1] == "a 2"
-
-
 def test_parse_neither_replays_nor_reassembles(monkeypatch):
     trace = generate(TraceConfig(5, 64, 8, FULL_PERMUTATION, seed=11))
     expected = execute(trace.events).final_state
@@ -356,16 +344,6 @@ def test_parse_normalizes_line_endings():
         assert (parsed.text, parsed.reveal_spans) == (trace.text, trace.reveal_spans)
 
 
-def test_parse_spans_after_a_leading_zero():
-    # The span of a value written with leading zeros keeps the length of
-    # the value, and every later span moves by the extra characters.
-    parsed = parse(SHELL_GAME_TEXT.replace("c 1\n", "c 001\n"))
-    assert parsed.reveal_spans == ((66, 67), (104, 105), (144, 145))
-    assert parse(SHELL_GAME_TEXT).reveal_spans == ((66, 67), (104, 105), (142, 143))
-    assert parsed.final_state == (1, 3, 2)
-    assert render(parsed) == parsed.text == SHELL_GAME_TEXT.replace("c 1\n", "c 001\n")
-
-
 @pytest.mark.parametrize(
     "text, error",
     [
@@ -382,8 +360,26 @@ def test_parse_spans_after_a_leading_zero():
         ),
         # A non-bijective command, then an init after it.
         (">>> a = 1\n>>> b = 2\n>>> a, b = b, b\n>>> c = 3\n", ("line 3, column 1: assignment tuple is not bijective", 3, 1)),
+        # Integer literals as the interpreter writes them: an init value with
+        # a leading zero, then a second one; reveal outputs that print never
+        # writes, then an unknown variable.
+        (
+            ">>> a = 01\n>>> b = 002\n>>> a, b = b, a\n",
+            ("line 1, column 9: leading zeros in an integer literal are not permitted", 1, 9),
+        ),
+        (
+            ">>> a = 1\n>>> b = 2\n>>> a, b = b, a\n>>> print('a', a)\na 02\n>>> a, z = z, a\n",
+            ("line 5, column 3: leading zeros in an integer literal are not permitted", 5, 3),
+        ),
+        (
+            SHELL_GAME_TEXT.replace("c 1\n", "c 001\n") + ">>> a, z = z, a\n",
+            ("line 9, column 3: leading zeros in an integer literal are not permitted", 9, 3),
+        ),
     ],
-    ids=["open-reveal", "no-command", "first-name", "output-name", "not-bijective"],
+    ids=[
+        "open-reveal", "no-command", "first-name", "output-name", "not-bijective",
+        "init-zeros", "output-zeros", "second-output-zeros",
+    ],
 )
 def test_parse_reports_the_first_fault(text, error):
     with pytest.raises(TraceParseError) as info:
@@ -444,6 +440,39 @@ def test_execute_rejects_an_init_after_a_reveal():
     ]
     with pytest.raises(ValueError, match=r"^init event 3 comes after a reveal$"):
         execute(events)
+
+
+@pytest.mark.parametrize(
+    "events, message",
+    [
+        ([trace_module._init(1, 2)], "init event 0 out of order"),
+        ([trace_module._init(0, 1), trace_module._init(1, 2), trace_module._full_command((1, 2, 0))],
+         "command over 3 vars, state has 2"),
+        ([trace_module._init(0, 1), trace_module._init(1, 2), trace_module._reveal(2, 3)],
+         "reveal of unknown variable index 2"),
+        ([trace_module._init(0, 1), TraceEvent("comment", ("# a",))], "unknown event kind 'comment'"),
+    ],
+    ids=["init-order", "command-size", "reveal-var", "event-kind"],
+)
+def test_execute_rejects_a_malformed_session(events, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        execute(events)
+
+
+def test_build_trace_rejects_inputs_that_do_not_fit_the_config():
+    config = TraceConfig(3, 3, 1, ELEMENTARY_SWAP, seed=0)
+    swaps = [transposition(3, 0, 1), transposition(3, 1, 2), transposition(3, 0, 2)]
+    for commands, reveal_vars, message in (
+        ([Permutation((1, 2, 0))] + swaps[1:], [0, 2, 0], r"\(1, 2, 0\) is not a transposition"),
+        (swaps[:2], [0, 2, 0], "expected 3 commands, got 2"),
+        (swaps, [0, 2], "expected 3 reveal choices, got 2"),
+        ([transposition(4, 0, 1)] + swaps[1:], [0, 2, 0], "command over 4 vars in a 3-var trace"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build_trace(config, commands, reveal_vars)
+    assert var_name(25) == "z"
+    with pytest.raises(ValueError, match="variable index 26 out of range"):
+        var_name(26)
 
 
 def test_parse_names_what_an_init_comes_after():
