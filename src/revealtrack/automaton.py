@@ -45,7 +45,6 @@ terms are summed in the same order.
 from __future__ import annotations
 
 import bisect
-import io
 import math
 import os
 import re
@@ -327,10 +326,6 @@ class Pfsa:
     def m(self) -> int:
         return self.symbols[0].m
 
-    @property
-    def alphabet_size(self) -> int:
-        return len(self.symbols)
-
     def symbol_index(self, name: str) -> int:
         for i, s in enumerate(self.symbols):
             if s.name == name:
@@ -392,10 +387,6 @@ def belief_trajectory(a: Pfsa, symbols) -> np.ndarray:
     return np.array(rows)
 
 
-def consistent_symbols(a: Pfsa, state: int) -> np.ndarray:
-    return np.array([i for i, s in enumerate(a.symbols) if state in s.reveal], dtype=int)
-
-
 def _column_cdf(a: Pfsa, symbol: int, state: int) -> tuple[list[int], list[float]]:
     """The states of nonzero probability in column ``state`` of the symbol's
     kernel, and the running sums of their probabilities, as lists.
@@ -444,7 +435,7 @@ def sample_trajectory(a: Pfsa, steps: int, rng: np.random.Generator) -> Trajecto
     for t in range(steps):
         options = options_at.get(q)
         if options is None:
-            options = options_at[q] = consistent_symbols(a, q).tolist()
+            options = options_at[q] = [i for i, s in enumerate(a.symbols) if q in s.reveal]
         if not options:
             raise DeadEndError(f"state {q} at step {t} admits no consistent symbol")
         s = options[rng.integers(len(options))]
@@ -528,12 +519,6 @@ def write_automaton(a: Pfsa, sink) -> None:
         sink.write("T\n")
         for row in np.asarray(sym.transition):
             sink.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def dumps_automaton(a: Pfsa) -> str:
-    buf = io.StringIO()
-    write_automaton(a, buf)
-    return buf.getvalue()
 
 
 def read_automaton(source) -> Pfsa:

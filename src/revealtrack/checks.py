@@ -118,7 +118,7 @@ def check_noisy_swap_example() -> CheckResult:
     observed = jt.joint_step(swapped, a, a.symbol_index("observe"))
     h2_expected = np.zeros(6)
     h2_expected[lex_index(Permutation((2, 1, 0)))] = 0.5
-    reset = jt.gated_reset(observed, np.full(6, 1.0 / 6.0))
+    reset = jt.joint_init(np.full(6, 1.0 / 6.0))
     reset_error = np.abs(reset.h - 1.0 / 6.0).max()
     return CheckResult(
         "noisy-swap-worked-example",
@@ -275,29 +275,26 @@ def check_sinkhorn(runs: int = 200, seed: int = 11) -> CheckResult:
 
 
 def check_kronecker(runs: int = 200, seed: int = 13) -> CheckResult:
+    """The tracker's ``marginal_step``, a random mix and then a random
+    reveal, equals its one bilinear step D_l P_s H D_r + B in Kronecker
+    form; folding P_s into the left factor makes one ``kron`` per instance."""
     rng = np.random.default_rng(seed)
     gap = 0.0
     for _ in range(runs):
         n = int(rng.integers(2, 6))
-        h = rng.standard_normal((n, n))
-        a_l = rng.standard_normal((n, n))
-        a_r = rng.standard_normal((n, n))
-        inject = rng.standard_normal((n, n))
-        direct = mg.bilinear_step(h, a_l, a_r, inject)
-        vectorized = mg.vectorized_step(h, a_l, a_r, inject)
-        gap = np.maximum(gap, np.abs(direct - vectorized).max())
-    d_l, d_r, inject = mg.reveal_operators(3, mg.RevealSpec(1, 1))
-    h1 = np.array([[1, 0, 0], [0, 0.5, 0.5], [0, 0.5, 0.5]])
-    reveal_ok = np.allclose(
-        mg.vectorized_step(h1, d_l, d_r, inject),
-        np.array([[1, 0, 0], [0, 1, 0], [0, 0, 0.5]]),
-        atol=1e-12,
-    )
+        group = symmetric_group(n)
+        h = rng.random((n, n))
+        mix = mg.MixSpec(_random_mixture(rng, group, min(4, len(group))))
+        reveal = mg.RevealSpec(*divmod(int(rng.integers(n * n)), n))  # a uniform cell
+        tracked = mg.marginal_step(mg.marginal_step(h, mix), reveal)
+        d_l, d_r, inject = mg.reveal_operators(n, reveal)
+        vectorized = mg.vectorized_step(h, d_l @ mix.matrix, d_r, inject)
+        gap = np.maximum(gap, np.abs(tracked - vectorized).max())
     return CheckResult(
         "kronecker-vectorization",
-        f"{runs} random instances max gap {gap:.2e}; reveal via kron ok={reveal_ok}",
-        {"gap": gap, "reveal_ok": reveal_ok},
-        (("gap", "<=", 1e-12), ("reveal_ok", "==", True)),
+        f"{runs} marginal mix-then-reveal steps against their Kronecker form: max gap {gap:.2e}",
+        {"gap": gap},
+        (("gap", "<=", 1e-12),),
     )
 
 

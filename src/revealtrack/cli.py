@@ -17,14 +17,15 @@ output and returns the summary to print, and ``<output>.manifest.json``
 records the command, the config, the package and numpy versions, and the
 sha256 of the output and of each input file. ``_check_config`` holds
 the parsed flags and a replayed config alike: each key must be a flag of
-the command, each value must have its flag's type, and an integer must
-be within the bounds its flag's ``add_argument`` declares. ``replay``
-also checks that the manifest names one output as a bare file name, then
-calls the same runner on the manifest's config. All randomness descends from
-the single ``--seed`` flag (per-trace seeds are split deterministically),
-so identical manifests regenerate identical bytes; ``replay`` warns when
-the running numpy, whose random streams may change between versions, or a
-recorded input differs.
+the command, each value must have its flag's type, an integer must be
+within the bounds its flag's ``add_argument`` declares, and a choice must
+be a value its flag can store. ``replay`` also checks that the manifest
+names one output as a bare file name, then calls the same runner on the
+manifest's config. All randomness descends from the single ``--seed``
+flag (per-trace seeds are split deterministically), so identical
+manifests regenerate identical bytes; ``replay`` warns when the running
+numpy, whose random streams may change between versions, or a recorded
+input differs.
 """
 
 from __future__ import annotations
@@ -46,22 +47,14 @@ from . import trace as tr
 from .automaton import DeadEndError, belief_trajectory, read_automaton, sample_trajectory
 
 
-class _Table(dict):
-    """A flag's values by name; a name that no flag offers, as a replayed
-    manifest may hold, is a one-line error."""
-
-    def __missing__(self, key):
-        raise ValueError(f"unknown value {key!r}, expected one of {', '.join(self)}")
-
-
 _KIND_FLAGS = {"full": tr.FULL_PERMUTATION, "swap": tr.ELEMENTARY_SWAP}
-_SCENARIOS = _Table({
+_SCENARIOS = {
     "joint-absorbing": lambda c: sc.adversarial_joint_scenario(c["cycles"]),
     "marginal-swap-reveal": lambda c: sc.adversarial_marginal_scenario(c["cycles"]),
     "dfa": lambda c: sc.dfa_scenario(c["steps"]),
     "full-reveal-every-k": lambda c: sc.adversarial_joint_scenario(c["cycles"], reset_every=c["k"]),
-})
-_GRIDS = _Table(none=None, single=sc.SINGLE_PRECISION)
+}
+_GRIDS = {"none": None, "single": sc.SINGLE_PRECISION}
 
 
 @dataclass(frozen=True)
@@ -218,7 +211,9 @@ def _check_config(command: str, config: dict) -> None:
     """Each key of ``config`` must be a flag of ``command``, and each value
     must have the type its flag parses to: an int flag takes an int that is
     not a bool and is within the flag's bounds, a ``store_true`` flag a
-    bool, and every other flag (a table name or a path) a string."""
+    bool, and every other flag (a choice or a path) a string. A choice flag
+    takes only a value it can store: ``--kind`` stores the command kind its
+    name maps to, and every other choice stores its name."""
     # ``--help`` stores nothing, so no config holds it.
     actions = {a.dest: a for a in build_parser().commands[command]._actions if a.default is not argparse.SUPPRESS}
     for key, value in config.items():
@@ -239,6 +234,10 @@ def _check_config(command: str, config: dict) -> None:
             raise ValueError(f"{flag} must be at least {bounds.low}, got {value}")
         if isinstance(bounds, _Int) and value > bounds.high:
             raise ValueError(f"{flag} must be at most {bounds.high}, got {value}")
+        if action.choices is not None:
+            stored = _KIND_FLAGS.values() if isinstance(action, _KindAction) else action.choices
+            if value not in stored:
+                raise ValueError(f"{flag} must be one of {', '.join(stored)}, got {json.dumps(value)}")
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:

@@ -53,10 +53,6 @@ class HouseholderStep:
         return 1.0 - self.beta
 
 
-def householder_matrix(step: HouseholderStep) -> np.ndarray:
-    return np.eye(step.n) - step.beta * np.outer(step.key, step.key)
-
-
 # A step is frozen with a read-only key, so equal arguments can share one.
 # ``typed`` keeps an argument of another type (a float n, say) out of an int
 # key's entry, so it fails as an uncached call would. Bounded like the
@@ -96,7 +92,6 @@ def run_recurrence(steps: Sequence[HouseholderStep], h0: np.ndarray) -> np.ndarr
 @dataclass(frozen=True)
 class EigenRange:
     min_eig: float
-    max_eig: float
     has_negative: bool
 
 
@@ -105,5 +100,5 @@ def eigenrange_check(steps: Sequence[HouseholderStep]) -> EigenRange:
     if not steps:
         raise ValueError("need at least one step")
     eigs = [step.eigenvalue for step in steps]
-    lo, hi = min(eigs), max(eigs)
-    return EigenRange(lo, hi, lo < 0.0)
+    lo = min(eigs)
+    return EigenRange(lo, lo < 0.0)

@@ -7,7 +7,10 @@ The joint tracker defers the filter's normalization to decode time:
 Each reveal multiplies the running ell-1 mass by the survival probability
 s = ||z * b||_1 of the current belief b, so mass telescopes to the product
 of survivals and can shrink exponentially. ``log_mass`` carries the natural
-log of that mass alongside h so diagnostics outlive h itself.
+log of that mass alongside h, summed from the ratio of each step's mass to
+the last, so it lasts no longer than h does: once h underflows to the zero
+vector, ``log_mass`` is -inf (on ``adversarial_joint_scenario(1200)`` from
+step 2147 on). A scaled recursion that keeps it finite is ROADMAP item 2.
 
 Arrangement automata: the states are the n! ways to place n distinct
 elements on n positions, encoded as permutations c with
@@ -46,8 +49,9 @@ class MassUnderflowError(ArithmeticError):
 @dataclass(frozen=True)
 class JointLinearState:
     """Unnormalized message h, its ell-1 mass ``h.sum()``, and the running
-    log of that mass. Raises ValueError unless every entry of h is finite
-    and nonnegative; the zero vector is allowed."""
+    log of that mass, which is -inf once h is the zero vector. Raises
+    ValueError unless every entry of h is finite and nonnegative; the zero
+    vector is allowed."""
 
     h: np.ndarray
     log_mass: float
@@ -113,15 +117,6 @@ def survival(a: Pfsa, b: np.ndarray, symbol: int) -> float:
     sums a 1-D array as ``.sum()`` does, without its Python wrapper.
     """
     return float(np.add.reduce(a.symbols[symbol].mask * b))
-
-
-def gated_reset(state: JointLinearState, prior: np.ndarray) -> JointLinearState:
-    """Annihilate history and inject a prior: h' = 0 * h + prior.
-
-    With a one-hot prior this is the linear implementation of a full state
-    reveal; with a uniform prior it re-inflates the tracker to full mass.
-    """
-    return joint_init(np.asarray(prior, dtype=float))
 
 
 # For every arrangement c of the one-line table, the arrangement that the

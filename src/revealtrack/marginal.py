@@ -18,8 +18,8 @@ Two linear updates move the state:
 
 Both updates are instances of the bilinear step A_l @ H @ A_r + B, which
 vectorizes to (A_r^T kron A_l) vec(H) + vec(B) under column-major vec;
-``vectorized_step`` exists to verify that identity against the direct
-product, not for speed.
+``vectorized_step`` exists to check ``marginal_step`` against that form
+(check C08), not for speed.
 """
 
 from __future__ import annotations
@@ -121,20 +121,13 @@ def marginal_step(state: np.ndarray, op: MixSpec | RevealSpec) -> np.ndarray:
     raise TypeError(f"unknown marginal step {op!r}")
 
 
-def bilinear_step(
-    state: np.ndarray, a_left: np.ndarray, a_right: np.ndarray, inject: np.ndarray
-) -> np.ndarray:
-    """Direct evaluation A_l @ H @ A_r + B."""
-    return a_left @ np.asarray(state, dtype=float) @ a_right + inject
-
-
 def vectorized_step(
     state: np.ndarray, a_left: np.ndarray, a_right: np.ndarray, inject: np.ndarray
 ) -> np.ndarray:
     """Same bilinear step through vec(H') = (A_r^T kron A_l) vec(H) + vec(B).
 
-    Uses column-major vectorization. Exists to check the Kronecker identity
-    against ``bilinear_step``; both sides must agree to 1e-12.
+    Uses column-major vectorization. Exists to check ``marginal_step``
+    against the Kronecker form; both sides must agree to 1e-12.
     """
     state = np.asarray(state, dtype=float)
     n_rows, n_cols = state.shape
@@ -145,12 +138,6 @@ def vectorized_step(
     vec = state.reshape(-1, order="F")
     out = np.kron(a_right.T, a_left) @ vec + inject.reshape(-1, order="F")
     return out.reshape((a_left.shape[0], a_right.shape[1]), order="F")
-
-
-def birkhoff_residual(state: np.ndarray) -> float:
-    """Largest deviation of any row or column sum from 1."""
-    state = np.asarray(state, dtype=float)
-    return _residual(state.sum(axis=1), state.sum(axis=0))
 
 
 def _residual(rows: np.ndarray, cols: np.ndarray) -> float:

@@ -9,9 +9,6 @@ Conventions used throughout the package:
 - ``to_matrix(p)`` is the column representation ``M @ e_i == e_{p(i)}``,
   so matrices compose in reverse order:
   ``to_matrix(compose(p, q)) == to_matrix(q) @ to_matrix(p)``.
-- ``apply(p, items)`` moves the item in slot ``i`` to slot ``p(i)`` (the
-  "shuffle cups between positions" action, matching ``to_matrix`` acting on
-  one-hot position vectors).
 - A convex mixture of group elements is a ``Mixture``, validated once when
   built; ``Mixture.of`` is the one coercion from bare pairs.
 - Randomness always comes from an explicit ``numpy.random.Generator``
@@ -48,9 +45,6 @@ class Permutation:
 
     def __call__(self, i: int) -> int:
         return self.mapping[i]
-
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.mapping))
 
 
 def identity(n: int) -> Permutation:
@@ -91,16 +85,6 @@ def to_matrix(p: Permutation) -> np.ndarray:
     for i, v in enumerate(p.mapping):
         m[v, i] = 1.0
     return m
-
-
-def apply(p: Permutation, items):
-    """Reorder a sequence: the item in slot i moves to slot p(i)."""
-    if len(items) != p.n:
-        raise ValueError(f"sequence of length {len(items)} under permutation of size {p.n}")
-    out = [None] * p.n
-    for i, x in enumerate(items):
-        out[p.mapping[i]] = x
-    return type(items)(out) if isinstance(items, (list, tuple)) else out
 
 
 def sample_uniform(n: int, rng: np.random.Generator) -> Permutation:

@@ -113,7 +113,7 @@ def test_c07_sinkhorn_projection():
 
 
 def test_c08_vectorized_step_identity():
-    with criterion("C08", "Kronecker-vectorized step equals bilinear step to 1e-12 (1000 cases)"):
+    with criterion("C08", "marginal_step mix then reveal equals its Kronecker form to 1e-12 (1000 cases)"):
         for seed in (8, 9):
             result = checks.check_kronecker(runs=1000, seed=seed)
             assert result.passed, result.detail

@@ -143,7 +143,7 @@ PASS hidden-swap-belief: trajectory [1. 0.] -> [0.5 0.5] -> [1. 0.]
 PASS joint-oracle-equivalence: 200 runs of 40 steps: decode err 2.22e-16, telescoping err 5.51e-15, log-mass err 3.55e-15
 PASS marginal-joint-bridge: mixing error 2.22e-16 over 50 runs; largest posterior mass on a zeroed entry 0.00e+00 (389 reveals)
 PASS sinkhorn-projection: 200 positive matrices: 0 unconverged, row/column sums within 9.87e-10 of 1; diagonal support -> identity True
-PASS kronecker-vectorization: 200 random instances max gap 7.11e-15; reveal via kron ok=True
+PASS kronecker-vectorization: 200 marginal mix-then-reveal steps against their Kronecker form: max gap 2.22e-16
 PASS householder-composition: 256 swaps in S_8: max deviation 1.27e-14, min eig -1.0
 PASS householder-eigen-gate: beta=2 min eig -1.0; capped min eig 0.002, product det 4.127e-27 (a swap needs det -1)
 PASS discretized-state-counts: 2**3! = 64, 10**81, 5**1 = 5
@@ -601,20 +601,6 @@ def test_replay_incomplete_manifest_is_one_line_error(tmp_path, capsys, drop):
     assert err == f"error: manifest lacks key {drop!r}\n"
 
 
-@pytest.mark.parametrize("key", ("scenario", "emulate"))
-def test_replay_unknown_flag_value_is_one_line_error(tmp_path, capsys, key):
-    out = tmp_path / "joint.csv"
-    assert main(["decay", "--scenario", "joint-absorbing", "--cycles", "2", "--out", str(out)]) == 0
-    manifest_path = tmp_path / "joint.csv.manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest["config"][key] = "nonsense"
-    manifest_path.write_text(json.dumps(manifest))
-    capsys.readouterr()
-    assert main(["replay", "--manifest", str(manifest_path), "--out-dir", str(tmp_path / "again")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: unknown value 'nonsense'") and err.count("\n") == 1
-
-
 def test_replay_manifest_fields_must_be_objects(tmp_path, capsys):
     manifest_path = tmp_path / "odd.manifest.json"
     manifest_path.write_text(json.dumps({"command": "decay", "config": [], "outputs": {}}))
@@ -639,6 +625,23 @@ def _replay_edited(tmp_path, capsys, argv, edit):
 
 DECAY_ARGV = ["decay", "--scenario", "joint-absorbing", "--cycles", "2"]
 GEN_ARGV = ["gen-traces", "--curriculum", "--stage-samples", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, key, stored",
+    [
+        pytest.param(DECAY_ARGV, "scenario",
+                     "joint-absorbing, marginal-swap-reveal, dfa, full-reveal-every-k", id="scenario"),
+        pytest.param(DECAY_ARGV, "emulate", "none, single", id="emulate"),
+        pytest.param(["gen-traces", "--count", "2", "--commands", "4"], "kind",
+                     "full_permutation, elementary_swap", id="kind"),
+    ],
+)
+def test_replay_unknown_flag_value_is_one_line_error(tmp_path, capsys, argv, key, stored):
+    code, err = _replay_edited(tmp_path, capsys, argv, lambda m: m["config"].update({key: "nonsense"}))
+    flag = f"{argv[0]} --{key}"
+    assert (code, err) == (2, f'error: {flag} must be one of {stored}, got "nonsense"\n')
+    assert not (tmp_path / "again").exists()
 
 
 @pytest.mark.parametrize(

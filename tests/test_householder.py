@@ -9,11 +9,14 @@ from revealtrack.householder import (
     EigenRange,
     HouseholderStep,
     eigenrange_check,
-    householder_matrix,
     run_recurrence,
     swap_head,
 )
 from revealtrack.perm import compose, identity, to_matrix, transposition
+
+
+def householder_matrix(step: HouseholderStep) -> np.ndarray:
+    return np.eye(step.n) - step.beta * np.outer(step.key, step.key)
 
 
 def test_two_dimensional_swap_matrix():
@@ -140,14 +143,14 @@ def test_recurrence_composes_exhaustive_small_sequences():
 
 def test_eigenrange_reports():
     all_swaps = [swap_head(4, 0, 1), swap_head(4, 1, 2)]
-    assert eigenrange_check(all_swaps) == EigenRange(-1.0, -1.0, True)
+    assert eigenrange_check(all_swaps) == EigenRange(-1.0, True)
 
     key = np.eye(4)[0]
     flat = [HouseholderStep(0.0, key), HouseholderStep(0.0, key)]
-    assert eigenrange_check(flat) == EigenRange(1.0, 1.0, False)
+    assert eigenrange_check(flat) == EigenRange(1.0, False)
 
     mixed = [HouseholderStep(0.0, key), HouseholderStep(1.0, key), HouseholderStep(2.0, key)]
-    assert eigenrange_check(mixed) == EigenRange(-1.0, 1.0, True)
+    assert eigenrange_check(mixed) == EigenRange(-1.0, True)
 
 
 def test_capped_gates_cannot_realize_a_swap():

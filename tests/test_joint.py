@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import math
 
 import numpy as np
@@ -10,19 +11,18 @@ from revealtrack.automaton import (
     Symbol,
     belief_trajectory,
     belief_update,
-    dumps_automaton,
     one_hot,
     random_automaton,
     reveal_only,
     sample_trajectory,
     transition_only,
+    write_automaton,
 )
 from revealtrack.checks import check_oracle_equivalence
 from revealtrack.joint import (
     JointLinearState,
     MassUnderflowError,
     arrangement_automaton,
-    gated_reset,
     joint_decode,
     joint_init,
     joint_step,
@@ -154,14 +154,14 @@ def test_oracle_check_folds_the_same_bits_as_a_per_step_loop(max_m):
             assert measured[key] == value, key  # bit for bit, not within a tolerance
 
 
-def test_gated_reset():
-    state = JointLinearState(np.array([1e-30, 0.0, 2e-30, 0.0, 0.0, 0.0]), -68.0)
+def test_joint_init_restarts_from_a_prior():
+    # A full reset starts the tracker again at a prior, whatever it held before.
     uniform = np.full(6, 1.0 / 6.0)
-    reset = gated_reset(state, uniform)
+    reset = joint_init(uniform)
     assert np.array_equal(reset.h, uniform)
     assert abs(reset.log_mass) <= 1e-12
-    pinned = gated_reset(state, one_hot(6, 4))
-    assert np.array_equal(pinned.h, one_hot(6, 4))
+    pinned = joint_init(one_hot(6, 4))
+    assert np.array_equal(pinned.h, one_hot(6, 4)) and pinned.log_mass == 0.0
 
 
 def test_joint_init_rejects_a_bad_prior():
@@ -170,9 +170,8 @@ def test_joint_init_rejects_a_bad_prior():
         ([-1.0, 2.0], "entry 0 is -1.0"),
         ([1.0, np.inf], "entry 1 is inf"),
     ):
-        for start in (joint_init, lambda b: gated_reset(joint_init(one_hot(2, 0)), b)):
-            with pytest.raises(ValueError, match=entry):
-                start(np.array(prior))
+        with pytest.raises(ValueError, match=entry):
+            joint_init(np.array(prior))
     zero = joint_init(np.zeros(3))  # a decayed state stays representable
     assert zero.mass == 0.0 and zero.log_mass == -math.inf
 
@@ -298,7 +297,10 @@ def test_gather_and_dense_trajectories_agree():
 
 def test_gather_document_matches_dense():
     a = noisy_swap_s3()
-    assert dumps_automaton(a) == dumps_automaton(dense_equivalent(a))
+    gather, dense = io.StringIO(), io.StringIO()
+    write_automaton(a, gather)
+    write_automaton(dense_equivalent(a), dense)
+    assert gather.getvalue() == dense.getvalue()
     assert a == noisy_swap_s3() and hash(a.symbols[0]) == hash(noisy_swap_s3().symbols[0])
     assert a.symbols[0] != dense_equivalent(a).symbols[0]
 

@@ -5,13 +5,12 @@ import pickle
 import numpy as np
 import pytest
 
-from revealtrack.checks import _random_mixture, check_marginal_bridge
+from revealtrack import marginal
+from revealtrack.checks import _random_mixture, check_kronecker, check_marginal_bridge
 from revealtrack.marginal import (
     MixSpec,
     NoSupportError,
     RevealSpec,
-    bilinear_step,
-    birkhoff_residual,
     joint_to_marginal,
     marginal_init,
     marginal_mix,
@@ -33,6 +32,11 @@ from revealtrack.perm import (
 )
 
 HALF_SWAP_12 = MixSpec(((identity(3), 0.5), (transposition(3, 1, 2), 0.5)))
+
+
+def birkhoff_residual(state: np.ndarray) -> float:
+    """Largest deviation of any row or column sum from 1."""
+    return float(max(np.abs(state.sum(axis=1) - 1.0).max(), np.abs(state.sum(axis=0) - 1.0).max()))
 
 
 def test_mix_spreads_rows():
@@ -234,9 +238,22 @@ def test_combined_shuffle_and_mask_step():
     p_s = to_matrix(sample_uniform(4, rng))
     d_l, d_r, inject = reveal_operators(4, RevealSpec(2, 1))
     h = rng.random((4, 4))
-    direct = bilinear_step(h, p_s @ d_l, d_r, inject)
+    direct = p_s @ d_l @ h @ d_r + inject
     vectorized = vectorized_step(h, p_s @ d_l, d_r, inject)
     assert np.abs(direct - vectorized).max() <= 1e-12
+
+
+def test_kronecker_check_catches_a_reveal_that_keeps_the_cross(monkeypatch):
+    # C08 runs the tracker's own step, so a reveal that pins its entry but
+    # leaves the rest of the cross in place fails it.
+    def pin_only(state, r):
+        out = np.array(state, dtype=float)
+        out[r.position, r.element] = 1.0
+        return out
+
+    assert check_kronecker(runs=50).passed
+    monkeypatch.setattr(marginal, "marginal_reveal", pin_only)
+    assert not check_kronecker(runs=50).passed
 
 
 def test_sinkhorn_doubly_stochastic_input_untouched():

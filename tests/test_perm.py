@@ -8,7 +8,6 @@ import pytest
 from revealtrack.perm import (
     Mixture,
     Permutation,
-    apply,
     compose,
     identity,
     inverse,
@@ -75,26 +74,27 @@ def test_cup_shuffle_sequence():
     cumulative = identity(3)
     for s in swaps:
         cumulative = compose(cumulative, s)
-    assert apply(cumulative, (1, 2, 3)) == (1, 3, 2)
+    # to_matrix(p) @ items moves the item in slot i to slot p(i)
+    assert (to_matrix(cumulative) @ (1, 2, 3)).tolist() == [1, 3, 2]
     # intermediate layouts
-    assert apply(swaps[0], (1, 2, 3)) == (2, 1, 3)
-    assert apply(compose(swaps[0], swaps[1]), (1, 2, 3)) == (2, 3, 1)
+    assert (to_matrix(swaps[0]) @ (1, 2, 3)).tolist() == [2, 1, 3]
+    assert (to_matrix(compose(swaps[0], swaps[1])) @ (1, 2, 3)).tolist() == [2, 3, 1]
 
 
 def test_compose_matches_stepwise_application():
-    # Composing 64 random transpositions must equal folding the individual
-    # applications over an explicit list.
+    # Composing 64 random transpositions must equal moving the items by
+    # each transposition's matrix in turn.
     rng = np.random.default_rng(42)
     n = 7
     items = list(range(100, 100 + n))
-    expected = list(items)
+    expected = np.array(items, dtype=float)
     cumulative = identity(n)
     for _ in range(64):
         i, j = rng.choice(n, size=2, replace=False)
         t = transposition(n, int(i), int(j))
-        expected = apply(t, expected)
+        expected = to_matrix(t) @ expected
         cumulative = compose(cumulative, t)
-    assert apply(cumulative, items) == expected
+    assert np.array_equal(to_matrix(cumulative) @ items, expected)
 
 
 def test_compose_size_mismatch():
@@ -195,8 +195,3 @@ def test_symmetric_group_enumeration():
     for build in (symmetric_group, one_line_table):
         with pytest.raises(ValueError, match="n must be >= 1"):
             build(0)
-
-
-def test_apply_validates_length():
-    with pytest.raises(ValueError):
-        apply(identity(3), [1, 2])
