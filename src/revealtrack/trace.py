@@ -34,7 +34,9 @@ integers on [0, n-2] (none when n = 2), [0, n-1] and [0, 1], then one on
 
 Events are immutable, and traces share them: each distinct command, reveal
 and init line is built once per process and reused by every trace that
-holds it, generated or parsed.
+holds it, generated or parsed. ``parse`` reads each distinct line once per
+process, keyed by the line, the variable count and whether a print is
+open, and converts values on every read.
 """
 
 from __future__ import annotations
@@ -388,17 +390,19 @@ def parse(text: str) -> Trace:
     exactly one event, so the text is the lines joined by newlines, which
     is what ``render`` makes of the events. The returned config carries
     reconstructed metadata: counts are exact, the command kind is inferred
-    from statement shapes, the spacing is inferred when the reveal cadence
-    is regular (1 otherwise), and the seed is unknowable (0).
+    from statement shapes, the spacing is inferred when every reveal ends a
+    window of that many commands and fewer follow the last (1 otherwise),
+    and the seed is unknowable (0).
 
-    The initialized variables must be ``a``, ``b``, ... in order, so a
-    command line goes through a memo keyed by the line and the variable
-    count, bounded at ``_CACHE_SIZE`` entries.
+    The initialized variables must be ``a``, ``b``, ... in order, so each
+    distinct line is read once per process, through one memo keyed by the
+    line, the variable count and whether a print is open, bounded at
+    ``_CACHE_SIZE`` entries. Values are converted on every read.
     """
     lines = text.splitlines()
     events: list[TraceEvent] = []
     names = ""  # the initialized variables, a, b, ... in order
-    n_vars = 0  # len(names), kept for the command memo key
+    n_vars = 0  # len(names), kept for the memo key
     state: list[int] | tuple[int, ...] = []  # a tuple once a command has run
     spans: list[tuple[int, int]] = []
     offset = 0  # where the next line starts in the returned text
@@ -409,17 +413,23 @@ def parse(text: str) -> Trace:
 
     for lineno, line in enumerate(lines, start=1):
         start, offset = offset, offset + len(line) + 1
-        if pending_print is not None:
-            out = _OUTPUT_RE.match(line)
-            if not out:
-                raise TraceParseError(f"expected reveal output line, got {line!r}", lineno)
-            name, value = out.group(1), _literal(out, lineno)
-            if name != pending_print:
+        try:
+            kind, what, detail = _parse_line(line, n_vars, pending_print is not None)
+        except _LineError as exc:
+            raise TraceParseError(exc.message, lineno, exc.column) from None
+        if kind == "command":
+            events.append(what)
+            state = what.step(state)
+            full = full or detail
+            n_commands += 1
+        elif kind == "output":
+            value = _value(line, detail, lineno)
+            if what != pending_print:
                 raise TraceParseError(
-                    f"output line names {name!r} but print revealed {pending_print!r}",
+                    f"output line names {what!r} but print revealed {pending_print!r}",
                     lineno,
                 )
-            events.append(_reveal(names.index(name), value))
+            events.append(_reveal(names.index(what), value))
             # The value fills the line past the one-letter name and a space.
             spans.append((start + 2, start + len(line)))
             gap, commands_at_reveal = n_commands - commands_at_reveal, n_commands
@@ -428,49 +438,23 @@ def parse(text: str) -> Trace:
             elif gap != spacing:
                 spacing = 0
             pending_print = None
-            continue
-
-        # Past the prompt and a name, an init line has a space, a print line
-        # the "r" of print and an assignment a comma; each pattern can match
-        # only lines with its own mark.
-        mark = line[5:6]
-        if mark != ",":
-            init = mark == " " and _INIT_RE.match(line)
-            if init:
-                name, value = init.group(1), _literal(init, lineno)
-                # As in ``execute``: n_vars counts the inits so far, and the
-                # first other event, if any, is the one just after them.
-                if len(events) != n_vars:
-                    raise TraceParseError(f"initialization after the first {events[n_vars].kind}", lineno)
-                if name in names:
-                    raise TraceParseError(f"variable {name!r} initialized twice", lineno)
-                # n_vars < 26 here: after z, every name was initialized.
-                if name != _NAMES[n_vars]:
-                    raise TraceParseError(f"out-of-order variable {name!r}", lineno)
-                events.append(_init(n_vars, value))
-                names += name
-                n_vars += 1
-                state.append(value)
-                continue
-
-            printed = mark == "r" and _PRINT_RE.match(line)
-            if printed:
-                label, operand = printed.groups()
-                if label != operand:
-                    raise TraceParseError(f"print label {label!r} differs from variable {operand!r}", lineno)
-                if label not in names:
-                    raise TraceParseError(f"unknown variable {label!r}", lineno, line.index(label) + 1)
-                pending_print = label
-                continue
-
-        try:
-            event, lists_more_than_two = _parse_command(line, n_vars)
-        except _LineError as exc:
-            raise TraceParseError(exc.message, lineno, exc.column) from None
-        events.append(event)
-        state = event.step(state)
-        full = full or lists_more_than_two
-        n_commands += 1
+        elif kind == "print":
+            pending_print = what
+        else:  # an init
+            value = _value(line, detail, lineno)
+            # As in ``execute``: n_vars counts the inits so far, and the
+            # first other event, if any, is the one just after them.
+            if len(events) != n_vars:
+                raise TraceParseError(f"initialization after the first {events[n_vars].kind}", lineno)
+            if what in names:
+                raise TraceParseError(f"variable {what!r} initialized twice", lineno)
+            # n_vars < 26 here: after z, every name was initialized.
+            if what != _NAMES[n_vars]:
+                raise TraceParseError(f"out-of-order variable {what!r}", lineno)
+            events.append(_init(n_vars, value))
+            names += what
+            n_vars += 1
+            state.append(value)
 
     end_line = len(lines) + 1
     if pending_print is not None:
@@ -479,6 +463,9 @@ def parse(text: str) -> Trace:
         raise TraceParseError("transcript initializes fewer than two variables", end_line)
     if not n_commands:
         raise TraceParseError("transcript has no command", end_line)
+    # ``spacing`` commands after the last reveal would have ended in a reveal.
+    if spacing and n_commands - commands_at_reveal >= spacing:
+        spacing = 0
     config = TraceConfig(
         n_vars=n_vars,
         n_commands=n_commands,
@@ -489,18 +476,13 @@ def parse(text: str) -> Trace:
     return Trace(config, tuple(events), "\n".join(lines) + "\n", tuple(spans), tuple(state))
 
 
-def _literal(match: re.Match, lineno: int) -> int:
-    """The value an init or output line writes in its second group, which
-    must be an integer literal as the interpreter writes it: no leading
-    zero, and no more digits than ``sys.get_int_max_str_digits()``. So the
-    line is the one its shared event renders."""
-    digits, column = match.group(2), match.start(2) + 1
-    if digits[0] == "0" and len(digits) > 1:
-        raise TraceParseError("leading zeros in an integer literal are not permitted", lineno, column)
+def _value(line: str, digits: str, lineno: int) -> int:
+    """The int of ``digits``, which end ``line``, under the current
+    ``sys.get_int_max_str_digits()``."""
     try:
         return int(digits)
     except ValueError as exc:
-        raise TraceParseError(str(exc), lineno, column) from None
+        raise TraceParseError(str(exc), lineno, len(line) - len(digits) + 1) from None
 
 
 class _LineError(Exception):
@@ -512,18 +494,45 @@ class _LineError(Exception):
         self.column = column
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _parse_command(line: str, n: int) -> tuple[TraceEvent, bool]:
-    """The command event of ``line`` under the first ``n`` variables ``a``,
-    ``b``, ..., and whether it lists more than two variables (so is a full
-    permutation).
+def _digits(match: re.Match) -> str:
+    """The integer literal in the second group of an init or output line,
+    which must be written as the interpreter writes it, with no leading
+    zero, so the line is the one its shared event renders."""
+    digits = match.group(2)
+    if digits[0] == "0" and len(digits) > 1:
+        raise _LineError("leading zeros in an integer literal are not permitted", match.start(2) + 1)
+    return digits
 
-    Memoized: a transcript repeats few distinct command lines. Errors raise
-    and are never stored, so each one is reported afresh. A line written
-    as ``generate`` writes it gets the event ``generate`` uses; any other
-    (a swap listed as ``c, a = a, c``, say) gets its own.
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _parse_line(line: str, n: int, printing: bool) -> tuple[str, object, object]:
+    """``line`` under the first ``n`` variables ``a``, ``b``, ..., with a
+    print open or not: ``(kind, name, digits)`` for an output (the one kind
+    read while a print is open) or an init, ``("print", name, None)``, or
+    ``("command", event, lists_more_than_two)``.
+
+    Memoized: a transcript repeats few distinct lines. Errors raise and are
+    never stored, so each one is reported afresh. A command written as
+    ``generate`` writes it gets the event ``generate`` uses; any other (a
+    swap listed as ``c, a = a, c``, say) gets its own.
     """
+    if printing:
+        out = _OUTPUT_RE.match(line)
+        if not out:
+            raise _LineError(f"expected reveal output line, got {line!r}")
+        return "output", out.group(1), _digits(out)
     names = _NAMES[:n]
+    init = _INIT_RE.match(line)
+    if init:
+        return "init", init.group(1), _digits(init)
+    printed = _PRINT_RE.match(line)
+    if printed:
+        label, operand = printed.groups()
+        if label != operand:
+            raise _LineError(f"print label {label!r} differs from variable {operand!r}")
+        if label not in names:
+            raise _LineError(f"unknown variable {label!r}", line.index(label) + 1)
+        return "print", label, None
     match = _ASSIGN_RE.match(line)
     if not match:
         raise _LineError(f"unrecognized line {line!r}")
@@ -547,7 +556,7 @@ def _parse_command(line: str, n: int) -> tuple[TraceEvent, bool]:
         event = _full_command(tuple(names.index(name) for name in rhs))
     if event.text_lines != (line,):
         event = TraceEvent("command", (line,), permutation=event.permutation)
-    return event, len(lhs) > 2
+    return "command", event, len(lhs) > 2
 
 
 # Line-delimited dataset export. One JSON object per trace with the fields

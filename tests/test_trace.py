@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import sys
@@ -291,10 +292,11 @@ def test_parse_memo_never_stores_an_error():
             parse(text)
         return str(info.value), info.value.line, info.value.column
 
-    trace_module._parse_command.cache_clear()
+    trace_module._parse_line.cache_clear()
     fresh = error(three)
     assert fresh == ("line 4, column 14: unknown variable 'd'", 4, 14)
-    assert trace_module._parse_command.cache_info().currsize == 0
+    # The memo holds the three init lines, and nothing for the command.
+    assert trace_module._parse_line.cache_info().currsize == 3
     assert parse(five).final_state == (2, 3, 4, 5, 1)
     assert error(three) == fresh
     assert error(three.replace(">>> c = 3\n", ">>> c = 3\n>>> print('a', a)\na 1\n")) == (
@@ -492,7 +494,7 @@ def test_parse_names_what_an_init_comes_after():
 @pytest.mark.parametrize("kind", COMMAND_KINDS)
 def test_parse_shares_the_events_generate_builds(kind, n_vars):
     # Other tests overflow the caches, which evict apart: start them empty.
-    for cache in (trace_module._parse_command, trace_module._full_command, trace_module._swap_command):
+    for cache in (trace_module._parse_line, trace_module._full_command, trace_module._swap_command):
         cache.cache_clear()
     trace = generate(TraceConfig(n_vars, 16, 2, kind, seed=3))
     parsed = parse(trace.text)
@@ -720,6 +722,116 @@ def test_parse_reconstructs_metadata():
     assert parsed.config.n_commands == 12
     assert parsed.config.reveal_spacing == 3
     assert parsed.config.command_kind == FULL_PERMUTATION
+
+
+def test_parse_infers_no_spacing_its_reveals_contradict():
+    ab, swap = ">>> a = 1\n>>> b = 2\n", ">>> a, b = b, a\n"
+    reveal = ">>> print('a', a)\na 1\n"
+    # A third window of two commands would have ended in a third reveal.
+    parsed = parse(ab + swap * 2 + reveal + swap * 2 + reveal + swap * 3)
+    assert (parsed.config.n_commands, len(parsed.reveal_spans)) == (7, 2)
+    assert parsed.config.reveal_spacing == 1
+    # Fewer trailing commands than the spacing, as generate writes them.
+    parsed = parse(ab + swap * 2 + reveal + swap * 2 + reveal + swap)
+    assert parsed.config.reveal_spacing == 2
+    assert parsed.config.n_reveals == len(parsed.reveal_spans) == 2
+
+
+_AB = ">>> a = 1\n>>> b = 2\n"
+_ABC = _AB + ">>> c = 3\n"
+_ABCDE = _ABC + ">>> d = 4\n>>> e = 5\n"
+_SWAP = ">>> a, b = b, a\n"
+_CYCLE = ">>> a, b, c, d, e = b, c, d, e, a\n"
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        # An output line where a statement is expected.
+        (
+            (_AB + _SWAP + ">>> print('a', a)\na 2\n", ((2, 1), ELEMENTARY_SWAP)),
+            (_AB + _SWAP + ">>> print('a', a)\na 2\na 2\n", ("line 6, column 1: unrecognized line 'a 2'", 6, 1)),
+        ),
+        # A leading-zero output inside a reveal, and the same line as a statement.
+        (
+            (_AB + _SWAP + ">>> print('a', a)\na 01\n", ("line 5, column 3: leading zeros in an integer literal are not permitted", 5, 3)),
+            (_AB + _SWAP + "a 01\n", ("line 4, column 1: unrecognized line 'a 01'", 4, 1)),
+        ),
+        # A command, then an init, while a print is open.
+        (
+            (_AB + _SWAP, ((2, 1), ELEMENTARY_SWAP)),
+            (_AB + ">>> print('a', a)\n" + _SWAP, ("line 4, column 1: expected reveal output line, got '>>> a, b = b, a'", 4, 1)),
+        ),
+        (
+            (_ABC + _SWAP, ((2, 1, 3), ELEMENTARY_SWAP)),
+            (_AB + ">>> print('a', a)\n>>> c = 3\n" + _SWAP, ("line 4, column 1: expected reveal output line, got '>>> c = 3'", 4, 1)),
+        ),
+        # A print of d under three variables and under five.
+        (
+            (_ABC + _SWAP + ">>> print('d', d)\nd 4\n", ("line 5, column 12: unknown variable 'd'", 5, 12)),
+            (_ABCDE + _SWAP + ">>> print('d', d)\nd 4\n", ((2, 1, 3, 4, 5), ELEMENTARY_SWAP)),
+        ),
+        # The same command line under different variable counts.
+        (
+            (_ABC + _CYCLE, ("line 4, column 14: unknown variable 'd'", 4, 14)),
+            (_ABCDE + _CYCLE, ((2, 3, 4, 5, 1), FULL_PERMUTATION)),
+        ),
+        (
+            (_AB + _SWAP + ">>> print('a', a)\na 2\n", ((2, 1), ELEMENTARY_SWAP)),
+            (_ABC + _SWAP + ">>> print('a', a)\na 2\n", ((2, 1, 3), ELEMENTARY_SWAP)),
+        ),
+    ],
+    ids=["output-as-statement", "zeros", "command-in-reveal", "init-in-reveal", "print-d", "command-by-count", "swap-by-count"],
+)
+def test_parse_memo_keeps_contexts_apart(first, second):
+    def outcome(text):
+        try:
+            parsed = parse(text)
+        except TraceParseError as exc:
+            return str(exc), exc.line, exc.column
+        assert execute(parsed.events).final_state == parsed.final_state
+        return parsed.final_state, parsed.config.command_kind
+
+    # Each order makes a memo entry in one context and then reads the
+    # same line in the other.
+    for texts in ((first, second), (second, first)):
+        trace_module._parse_line.cache_clear()
+        for text, expected in texts:
+            assert outcome(text) == expected
+
+
+def _cpython_outputs(text: str) -> tuple[list[str], dict]:
+    """What the interpreter prints when it runs each statement of ``text``
+    as an interactive session does, and the namespace it ends with."""
+    namespace: dict = {}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for line in text.splitlines():
+            if line.startswith(">>> "):
+                exec(compile(line[4:], "<repl>", "single"), namespace)
+    return out.getvalue().splitlines(), namespace
+
+
+def test_cpython_runs_generated_transcripts_as_written():
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for kind in COMMAND_KINDS:
+        for n_vars in (2, 5, 9, 26):
+            for _ in range(38):
+                n_commands, spacing = int(rng.integers(1, 65)), int(rng.integers(1, 9))
+                trace = generate(TraceConfig(n_vars, n_commands, spacing, kind, seed=int(rng.integers(2**32))))
+                printed, namespace = _cpython_outputs(trace.text)
+                outputs = [line for line in trace.text.splitlines() if not line.startswith(">>> ")]
+                assert printed == outputs, trace.config
+                assert tuple(namespace[var_name(i)] for i in range(n_vars)) == trace.final_state
+                checked += 1
+    assert checked == 304
+    # A transcript with one output value changed disagrees with the interpreter.
+    trace = generate(TraceConfig(5, 16, 2, FULL_PERMUTATION, seed=1))
+    start, end = trace.reveal_spans[3]
+    mutated = trace.text[:start] + str(int(trace.text[start:end]) % 5 + 1) + trace.text[end:]
+    outputs = [line for line in mutated.splitlines() if not line.startswith(">>> ")]
+    assert _cpython_outputs(mutated)[0] != outputs
 
 
 def test_export_dataset(tmp_path):
