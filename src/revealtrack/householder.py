@@ -9,13 +9,17 @@ permutations through the linear recurrence H_t = A_t H_{t-1}. Gates capped
 at beta <= 1 keep every eigenvalue nonnegative, which is why such a
 recurrence cannot realize a swap (a swap has determinant -1).
 
+A step applies (beta k)(k^T H) with its gated key beta k stored: bit for
+bit beta (k (k^T H)) when beta is a power of two, as at every swap; other
+gates can differ in the last bit.
+
 Eigenvalues are checked by direct action on k and on vectors orthogonal to
 k; the rank-1 structure makes a general eigensolver unnecessary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -24,10 +28,14 @@ import numpy as np
 
 @dataclass(frozen=True)
 class HouseholderStep:
-    """A gated reflection: transition matrix I - beta * k k^T with unit k."""
+    """A gated reflection: transition matrix I - beta * k k^T with unit k.
+    It applies (beta k)(k^T H) through the read-only ``scaled_key`` beta k:
+    beta (k (k^T H)) bit for bit when beta is a power of two; other gates
+    can differ in the last bit. Steps compare and hash by gate and key."""
 
     beta: float
     key: np.ndarray
+    scaled_key: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         key = np.asarray(self.key, dtype=float).copy()
@@ -42,6 +50,9 @@ class HouseholderStep:
             raise ValueError(f"beta {self.beta} outside [0, 2]")
         key.setflags(write=False)
         object.__setattr__(self, "key", key)
+        scaled_key = self.beta * key
+        scaled_key.setflags(write=False)
+        object.__setattr__(self, "scaled_key", scaled_key)
 
     @property
     def n(self) -> int:
@@ -51,6 +62,14 @@ class HouseholderStep:
     def eigenvalue(self) -> float:
         """The nontrivial eigenvalue 1 - beta (on span of the key)."""
         return 1.0 - self.beta
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, HouseholderStep):
+            return NotImplemented
+        return self.beta == other.beta and np.array_equal(self.key, other.key)
+
+    def __hash__(self) -> int:
+        return hash((self.beta, tuple(self.key.tolist())))  # -0.0 hashes as 0.0
 
 
 # A step is frozen with a read-only key, so equal arguments can share one.
@@ -74,18 +93,23 @@ def swap_head(n: int, i: int, j: int) -> HouseholderStep:
 
 
 def run_recurrence(steps: Sequence[HouseholderStep], h0: np.ndarray) -> np.ndarray:
-    """Fold H <- A(step) @ H over the steps in sequence order.
+    """Fold H <- A(step) @ H over the steps in sequence order; H is a
+    vector or a matrix.
 
-    Each step is applied as the rank-1 update H - beta k (k^T H), which
-    costs O(n m) for an n-by-m state and never forms A.
-    ``np.multiply.outer`` keeps a vector state a vector.
+    Each step is applied as the rank-1 update H - (beta k)(k^T H), which
+    costs O(n m) for an n-by-m state and never forms A. It is
+    H - beta (k (k^T H)) bit for bit when beta is a power of two, and can
+    differ in the last bit otherwise. ``np.multiply.outer`` keeps a vector
+    state a vector.
     """
     h = np.asarray(h0, dtype=float).copy()
+    if h.ndim not in (1, 2):
+        raise ValueError(f"state must be a vector or a matrix, got shape {h.shape}")
     for step in steps:
         key = step.key
         if key.shape[0] != h.shape[0]:
             raise ValueError(f"step of size {step.n} applied to state of shape {h.shape}")
-        h -= step.beta * np.multiply.outer(key, key @ h)
+        h -= np.multiply.outer(step.scaled_key, np.dot(key, h))
     return h
 
 

@@ -71,7 +71,7 @@ def test_swap_applied_twice_restores_state():
 
 
 def test_rank_one_step_matches_dense_matrix():
-    # run_recurrence applies H - beta k (k^T H); the dense matrix is the reference.
+    # run_recurrence applies H - (beta k)(k^T H); the dense matrix is the reference.
     rng = np.random.default_rng(23)
     for n in (2, 8, 64):
         for _ in range(50):
@@ -169,3 +169,64 @@ def test_capped_gates_cannot_realize_a_swap():
         product = run_recurrence(steps, np.eye(4))
         assert np.linalg.det(product) >= -1e-12
         assert np.abs(product - swap).max() > 1e-6
+
+
+def reference_recurrence(steps, h0):
+    # The rank-1 step as beta * (k (k^T H)): the scaled-key step must match it
+    # bit for bit at power-of-two gates and within the last bit otherwise.
+    h = np.asarray(h0, dtype=float).copy()
+    for step in steps:
+        k = step.key
+        h -= step.beta * np.multiply.outer(k, k @ h)
+    return h
+
+
+def test_swap_head_recurrence_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(29)
+    for n in (2, 8, 64):
+        first = rng.integers(n, size=2048)
+        second = (first + rng.integers(1, n, size=2048)) % n
+        steps = [swap_head(n, i, j) for i, j in zip(first.tolist(), second.tolist())]
+        for h0 in (rng.standard_normal(n), rng.standard_normal((n, n)), rng.standard_normal((n, 3))):
+            assert np.array_equal(run_recurrence(steps, h0), reference_recurrence(steps, h0))
+
+
+def test_random_gate_recurrence_stays_within_last_bits_of_reference():
+    rng = np.random.default_rng(31)
+    for n in (2, 8, 64):
+        steps = []
+        for _ in range(256):
+            key = rng.standard_normal(n)
+            key /= np.linalg.norm(key)
+            steps.append(HouseholderStep(float(rng.uniform(0.0, 2.0)), key))
+        for h0 in (rng.standard_normal(n), rng.standard_normal((n, n)), rng.standard_normal((n, 3))):
+            gap = np.abs(run_recurrence(steps, h0) - reference_recurrence(steps, h0)).max()
+            assert gap <= 1e-14
+
+
+def test_recurrence_rejects_a_state_that_is_neither_vector_nor_matrix():
+    with pytest.raises(ValueError, match=r"shape \(3, 3, 3\)"):
+        run_recurrence([swap_head(3, 0, 1)], np.arange(27.0).reshape(3, 3, 3))
+    with pytest.raises(ValueError, match=r"shape \(\)"):
+        run_recurrence([swap_head(3, 0, 1)], np.float64(1.0))
+
+
+def test_steps_compare_and_hash_by_gate_and_key():
+    a = HouseholderStep(2.0, [1.0, 0.0])
+    b = HouseholderStep(2.0, [1.0, 0.0])
+    assert a == b and a in [b] and hash(a) == hash(b)
+    assert {a, b} == {a}
+    signed_zero = HouseholderStep(2.0, [1.0, -0.0])
+    assert signed_zero == a and hash(signed_zero) == hash(a)
+    assert HouseholderStep(1.0, [1.0, 0.0]) != a
+    assert HouseholderStep(2.0, [0.0, 1.0]) != a
+    assert a != (2.0, [1.0, 0.0])
+
+
+def test_scaled_key_is_the_gated_key_and_read_only():
+    step = swap_head(5, 0, 3)
+    assert np.array_equal(step.scaled_key, 2.0 * step.key)
+    assert not step.scaled_key.flags.writeable
+    with pytest.raises(ValueError):
+        step.scaled_key[0] = 1.0
+    assert "scaled_key" not in repr(step)
