@@ -73,7 +73,7 @@ def check_absorbing_decay(cycles: int = 20) -> CheckResult:
     for cycle in range(1, cycles + 1):
         state = jt.joint_step(state, scenario.automaton, 0)
         state = jt.joint_step(state, scenario.automaton, 1)
-        inexact_norms += state.mass != 2.0 ** -cycle
+        inexact_norms += math.ldexp(state.mass, state.exponent) != 2.0 ** -cycle
         decode_gap = np.abs(jt.joint_decode(state) - expected_belief).max()
         decode_error = np.maximum(decode_error, decode_gap)
     return CheckResult(
@@ -170,7 +170,8 @@ def check_oracle_equivalence(
             log_product += math.log(survival)
         decode_error = np.maximum(decode_error, np.abs(beliefs[1:] - exact[1:]).max(initial=0.0))
         product = math.exp(log_product)
-        telescope_error = np.maximum(telescope_error, abs(state.mass - product) / product)
+        mass = math.ldexp(state.mass, state.exponent)
+        telescope_error = np.maximum(telescope_error, abs(mass - product) / product)
         log_mass_error = np.maximum(log_mass_error, abs(state.log_mass - log_product))
     return CheckResult(
         "joint-oracle-equivalence",

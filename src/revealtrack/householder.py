@@ -19,6 +19,7 @@ k; the rank-1 structure makes a general eigensolver unnecessary.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
@@ -31,14 +32,21 @@ class HouseholderStep:
     """A gated reflection: transition matrix I - beta * k k^T with unit k.
     It applies (beta k)(k^T H) through the read-only ``scaled_key`` beta k:
     beta (k (k^T H)) bit for bit when beta is a power of two; other gates
-    can differ in the last bit. Steps compare and hash by gate and key."""
+    can differ in the last bit. Steps compare and hash by gate and key.
+    Raises ValueError unless beta is a real number (a bool is not) in
+    [0, 2] and k is a real, finite unit vector."""
 
     beta: float
     key: np.ndarray
     scaled_key: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        key = np.asarray(self.key, dtype=float).copy()
+        if isinstance(self.beta, bool) or not isinstance(self.beta, numbers.Real):
+            raise ValueError(f"beta {self.beta!r} is not a real number")
+        key = np.asarray(self.key)
+        if np.iscomplexobj(key):
+            raise ValueError(f"key has complex dtype {key.dtype}; entries must be real")
+        key = key.astype(float)
         if key.ndim != 1:
             raise ValueError("key must be a vector")
         if not np.all(np.isfinite(key)):
@@ -100,9 +108,12 @@ def run_recurrence(steps: Sequence[HouseholderStep], h0: np.ndarray) -> np.ndarr
     costs O(n m) for an n-by-m state and never forms A. It is
     H - beta (k (k^T H)) bit for bit when beta is a power of two, and can
     differ in the last bit otherwise. ``np.multiply.outer`` keeps a vector
-    state a vector.
+    state a vector. Raises ValueError for a complex state.
     """
-    h = np.asarray(h0, dtype=float).copy()
+    h = np.asarray(h0)
+    if np.iscomplexobj(h):
+        raise ValueError(f"state has complex dtype {h.dtype}; entries must be real")
+    h = h.astype(float)
     if h.ndim not in (1, 2):
         raise ValueError(f"state must be a vector or a matrix, got shape {h.shape}")
     for step in steps:

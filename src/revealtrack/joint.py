@@ -6,11 +6,13 @@ The joint tracker defers the filter's normalization to decode time:
 
 Each reveal multiplies the running ell-1 mass by the survival probability
 s = ||z * b||_1 of the current belief b, so mass telescopes to the product
-of survivals and can shrink exponentially. ``log_mass`` carries the natural
-log of that mass alongside h, summed from the ratio of each step's mass to
-the last, so it lasts no longer than h does: once h underflows to the zero
-vector, ``log_mass`` is -inf (on ``adversarial_joint_scenario(1200)`` from
-step 2147 on). A scaled recursion that keeps it finite is ROADMAP item 2.
+of survivals and can shrink exponentially. The state stores its message
+as h * 2**exponent (Rabiner's scaled forward recursion, 1989, section
+V.A): once the mass of h falls below 2**-512, ``joint_step`` scales h into
+mass [1/2, 1) by a power of two, which rounds nothing. So a state that
+never gets that low keeps the unscaled bits, and ``log_mass``, the natural
+log of the mass summed from the ratio of each step's mass to the last,
+stays finite after h alone would underflow.
 
 Arrangement automata: the states are the n! ways to place n distinct
 elements on n positions, encoded as permutations c with
@@ -46,47 +48,55 @@ class MassUnderflowError(ArithmeticError):
     """The unnormalized state has zero mass; decoding is undefined."""
 
 
+_RESCALE_BELOW = 2.0**-512  # far above the subnormals, so no entry that carries mass has lost bits
+
+
 @dataclass(frozen=True)
 class JointLinearState:
-    """Unnormalized message h, its ell-1 mass ``h.sum()``, and the running
-    log of that mass, which is -inf once h is the zero vector. Raises
-    ValueError unless every entry of h is finite and nonnegative; the zero
-    vector is allowed."""
+    """Unnormalized message h * 2**exponent. ``mass`` is ``h.sum()``, so
+    the message's ell-1 mass is ``ldexp(mass, exponent)``; ``log_mass`` is
+    the running natural log of that mass, -inf once h is the zero vector.
+    Raises ValueError unless every entry of h is real, finite and
+    nonnegative; the zero vector is allowed."""
 
     h: np.ndarray
     log_mass: float
+    exponent: int = 0
     mass: float = field(init=False)
 
     def __post_init__(self) -> None:
-        h = np.asarray(self.h, dtype=float).copy()
+        h = np.asarray(self.h)
+        if np.iscomplexobj(h):
+            raise ValueError(f"message has complex dtype {h.dtype}; entries must be real")
+        h = h.astype(float)
         bad = ~np.isfinite(h) | (h < 0)
         if bad.any():
             i = int(bad.argmax())
-            raise ValueError(f"prior entry {i} is {float(h.flat[i])!r}; entries must be finite and nonnegative")
+            raise ValueError(f"entry {i} is {float(h.flat[i])!r}; entries must be finite and nonnegative")
         h.setflags(write=False)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "mass", float(h.sum()))
 
     @classmethod
-    def _adopt(cls, h: np.ndarray, log_mass: float, mass: float) -> JointLinearState:
+    def _adopt(cls, h: np.ndarray, log_mass: float, mass: float, exponent: int) -> JointLinearState:
         """A state that takes ownership of a fresh ``h`` summing to ``mass``,
         without the copy and the sum of the constructor."""
         h.setflags(write=False)
         state = object.__new__(cls)
-        object.__setattr__(state, "h", h)
-        object.__setattr__(state, "log_mass", log_mass)
-        object.__setattr__(state, "mass", mass)
+        state.__dict__.update(h=h, log_mass=log_mass, exponent=exponent, mass=mass)
         return state
 
 
 def joint_init(b0: np.ndarray) -> JointLinearState:
     """The state h = b0, checked as ``JointLinearState`` checks it."""
     state = JointLinearState(b0, -math.inf)
-    return JointLinearState._adopt(state.h, math.log(state.mass), state.mass) if state.mass > 0 else state
+    return JointLinearState._adopt(state.h, math.log(state.mass), state.mass, 0) if state.mass > 0 else state
 
 
 def joint_step(state: JointLinearState, a: Pfsa, symbol: int) -> JointLinearState:
-    """One linear update h' = T @ (z * h); never renormalizes.
+    """One linear update h' = T @ (z * h); never renormalizes. Below a
+    mass of 2**-512, h' is scaled into [1/2, 1) by a power of two that the
+    exponent takes back, which rounds nothing.
 
     A state that has decayed to the zero vector is representable: the step
     returns it with log_mass = -inf instead of raising.
@@ -98,7 +108,11 @@ def joint_step(state: JointLinearState, a: Pfsa, symbol: int) -> JointLinearStat
         log_mass = state.log_mass + math.log(after / before)
     else:
         log_mass = -math.inf
-    return JointLinearState._adopt(h, log_mass, after)
+    if 0 < after < _RESCALE_BELOW:
+        after, shift = math.frexp(after)
+        np.ldexp(h, -shift, out=h)
+        return JointLinearState._adopt(h, log_mass, after, state.exponent + shift)
+    return JointLinearState._adopt(h, log_mass, after, state.exponent)
 
 
 def joint_decode(state: JointLinearState) -> np.ndarray:
@@ -106,17 +120,6 @@ def joint_decode(state: JointLinearState) -> np.ndarray:
     if state.mass <= 0.0:
         raise MassUnderflowError("joint state mass is zero; cannot decode a belief")
     return state.h / state.mass
-
-
-def survival(a: Pfsa, b: np.ndarray, symbol: int) -> float:
-    """Belief mass consistent with the symbol's reveal, s = ||z * b||_1,
-    for a belief vector b.
-
-    Zero signals an observation inconsistent with the belief. The product
-    with the float64 mask is float64 for any real b, and ``np.add.reduce``
-    sums a 1-D array as ``.sum()`` does, without its Python wrapper.
-    """
-    return float(np.add.reduce(a.symbols[symbol].mask * b))
 
 
 # For every arrangement c of the one-line table, the arrangement that the

@@ -20,10 +20,12 @@ loop only steps the trackers and stores each state in a (steps, m) array
 columns, and the marginal run's exact floor, come from that stored
 trajectory in one vectorized pass afterwards. With a ``FloatGrid`` the
 reported tracker stores every value rounded to a reduced significand with
-flush-to-zero below the smallest normal magnitude 2**min_exp; the exact
-mass is tracked in log space alongside (survivals come from a
-per-step-normalized shadow belief, so the diagnostic outlives the
-tracker). The reported first underflow step is the first step whose exact
+flush-to-zero below the smallest normal magnitude 2**min_exp. A joint
+run steps one ``joint.JointLinearState`` beside the rounded tracker, and
+that state gives the exact columns: the survival is its step's mass
+ratio and the log2 norm is ``exponent + log2(mass)``, so the diagnostic
+outlives both the rounded tracker and float64. The reported first
+underflow step is the first step whose exact
 decay quantity (the ell-1 mass for joint runs, the smallest nonzero entry
 for marginal runs) drops below 2**min_exp; the rounded tracker's entries
 hit hard zero around the same point, visible in the row values.
@@ -39,7 +41,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .automaton import InconsistentObservationError, Pfsa, reveal_only, transition_only
-from .joint import mixture_symbol, placement_reveal_symbol, survival
+from .joint import JointLinearState, joint_decode, joint_init, joint_step, mixture_symbol, placement_reveal_symbol
 from .marginal import MixSpec, RevealSpec, marginal_init, marginal_step
 from .perm import Mixture, identity, transposition
 
@@ -265,11 +267,9 @@ def run_and_report(
 
 def _run_joint(scenario: JointScenario, grid: FloatGrid | None) -> DecayReport:
     a = scenario.automaton
-    total = scenario.initial.sum()
-    if total <= 0:
+    state = joint_init(scenario.initial)
+    if state.mass <= 0:
         raise ValueError("scenario initial state has no mass")
-    belief = scenario.initial / total
-    cum_log2 = math.log2(total)
     tracked = grid.round_array(scenario.initial) if grid else scenario.initial
 
     stored, labels, survivals, log2_norms = [], [], [], []
@@ -277,29 +277,24 @@ def _run_joint(scenario: JointScenario, grid: FloatGrid | None) -> DecayReport:
     for index, op in enumerate(scenario.steps):
         if op == RESET:
             # Gated reset: history annihilated, prior injected at full mass.
-            tracked = grid.round_array(belief) if grid else belief
-            cum_log2 = 0.0
+            state = JointLinearState(joint_decode(state), 0.0)
+            tracked = grid.round_array(state.h) if grid else state.h
             labels.append("reset")
             survivals.append(None)
         else:
-            symbol = int(op)
-            sym = a.symbols[symbol]
-            surv = survival(a, belief, symbol)
-            if surv <= 0.0:
+            before, exponent = state.mass, state.exponent
+            state = joint_step(state, a, int(op))
+            sym = a.symbols[int(op)]
+            if state.mass <= 0.0:
                 raise InconsistentObservationError(
                     f"step {index + 1}: symbol {sym.name!r} is inconsistent"
                 )
-            # The shadow belief is normalized by the survival, not by the
-            # sum after the transition: the report's bytes depend on it.
-            belief = sym.apply(belief)
-            belief /= surv
             tracked = grid.round_array(sym.apply(tracked)) if grid else sym.apply(tracked)
-            cum_log2 += math.log2(surv)
             labels.append(sym.name)
-            survivals.append(surv)
+            survivals.append(math.ldexp(state.mass / before, state.exponent - exponent))
         stored.append(tracked)
-        log2_norms.append(cum_log2)
-        if grid and first_underflow is None and cum_log2 < grid.min_exp:
+        log2_norms.append(state.exponent + math.log2(state.mass))
+        if grid and first_underflow is None and log2_norms[-1] < grid.min_exp:
             first_underflow = index + 1
     # No step writes to an array once stored, so each row is its step's state.
     states = np.array(stored).reshape(len(stored), a.m)

@@ -211,6 +211,21 @@ def test_recurrence_rejects_a_state_that_is_neither_vector_nor_matrix():
         run_recurrence([swap_head(3, 0, 1)], np.float64(1.0))
 
 
+def test_recurrence_rejects_a_complex_state():
+    # Cast to float, the state would silently lose its imaginary part.
+    with pytest.raises(ValueError, match="complex dtype"):
+        run_recurrence([swap_head(2, 0, 1)], np.array([1 + 2j, 3]))
+
+
+def test_step_rejects_a_gate_or_key_that_is_not_real():
+    for beta in (True, np.bool_(False), 1 + 0j, "2"):
+        with pytest.raises(ValueError, match="is not a real number"):
+            HouseholderStep(beta, [1.0, 0.0])
+    with pytest.raises(ValueError, match="complex dtype"):
+        HouseholderStep(2.0, np.array([1.0 + 0j, 0.0]))
+    assert HouseholderStep(np.float64(2.0), [1.0, 0.0]) == HouseholderStep(2, [1.0, 0.0])
+
+
 def test_steps_compare_and_hash_by_gate_and_key():
     a = HouseholderStep(2.0, [1.0, 0.0])
     b = HouseholderStep(2.0, [1.0, 0.0])

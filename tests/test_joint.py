@@ -28,10 +28,9 @@ from revealtrack.joint import (
     joint_step,
     mixture_symbol,
     placement_reveal_symbol,
-    survival,
 )
 from revealtrack.perm import Permutation, compose, lex_index, symmetric_group, transposition
-from revealtrack.scenarios import absorbing_automaton, noisy_swap_s3
+from revealtrack.scenarios import absorbing_automaton, adversarial_joint_scenario, noisy_swap_s3
 
 # The worked three-item example numbers its arrangements 1..6 as the lists
 # [1,2,3], [2,1,3], [3,2,1], [1,3,2], [2,3,1], [3,1,2]; this table maps that
@@ -111,11 +110,29 @@ def test_zero_state_is_representable():
     assert np.array_equal(again.h, [0.0, 0.0])
 
 
-def test_survival_examples():
+def test_exact_mass_outlives_h():
+    # 1200 cycles halve the message's mass to 2**-1200, below float64's
+    # smallest subnormal; the power-of-two exponent carries it exactly.
+    scenario = adversarial_joint_scenario(1200)
+    state = joint_init(scenario.initial)
+    for symbol in scenario.steps:
+        state = joint_step(state, scenario.automaton, symbol)
+    assert abs(state.log_mass - 1200 * math.log(0.5)) <= 1e-12 * 1200 * math.log(2)
+    fraction, shift = math.frexp(state.mass)
+    assert fraction == 0.5 and shift + state.exponent == -1199
+    assert np.array_equal(joint_decode(state), [0.0, 0.5, 0.5])
+
+
+def test_rescale_keeps_the_message():
+    # Below 2**-512 a step scales h by a power of two into mass [1/2, 1):
+    # the message h * 2**exponent and the log mass carry on unchanged.
     a = absorbing_automaton()
-    assert survival(a, np.array([0.5, 0.25, 0.25]), a.symbol_index("reveal")) == 0.5
-    assert survival(a, np.array([0.5, 0.25, 0.25]), a.symbol_index("mix")) == 1.0
-    assert survival(a, one_hot(3, 0), a.symbol_index("reveal")) == 0.0
+    state = JointLinearState(np.array([0.0, 2.0**-513, 2.0**-513]), 0.0)
+    mixed = joint_step(state, a, a.symbol_index("mix"))
+    assert mixed.exponent == 0 and mixed.mass == 2.0**-512
+    revealed = joint_step(mixed, a, a.symbol_index("reveal"))
+    assert np.array_equal(revealed.h, [0.0, 0.25, 0.25]) and revealed.exponent == -512
+    assert revealed.log_mass == math.log(0.5)
 
 
 def per_step_oracle_measurements(runs, max_m, steps, seed):
@@ -134,7 +151,7 @@ def per_step_oracle_measurements(runs, max_m, steps, seed):
         belief = joint_decode(state)
         log_product = 0.0
         for t, s in enumerate(symbols, start=1):
-            log_product += math.log(survival(a, belief, s))
+            log_product += math.log(float(np.add.reduce(a.symbols[s].mask * belief)))
             state = joint_step(state, a, s)
             belief = joint_decode(state)
             decode_error = np.maximum(decode_error, np.abs(belief - exact[t]).max())
@@ -182,6 +199,14 @@ def test_joint_state_rejects_a_bad_message(h, entry):
     # stepped into a log mass of -inf that reads as decay.
     with pytest.raises(ValueError, match=entry):
         JointLinearState(np.array(h), 0.0)
+
+
+def test_joint_state_rejects_a_complex_message():
+    # Cast to float, the message would silently lose its imaginary part.
+    with pytest.raises(ValueError, match="complex dtype"):
+        JointLinearState(np.array([1 + 1j, 1.0]), 0.0)
+    with pytest.raises(ValueError, match="complex dtype"):
+        joint_init(np.array([0.5 + 0j, 0.5]))
 
 
 def test_mixture_symbol_validation():
