@@ -1,12 +1,14 @@
 """Named self-checks wired to the ``verify`` CLI command.
 
-Each check replays a construction or property at a configurable size and
-returns a ``CheckResult``: a one-line detail, the numbers it measured, and
-its bounds as data, one ``(key, relation, limit)`` triple per condition on
-a measured value. ``CheckResult.passed`` is the one place a pass is
-decided. The ``verify`` command prints one line per check and exits
-nonzero if any fails; ``tests/test_acceptance.py`` runs the same checks at
-its own sizes and asserts ``passed``, so each bound is stated once, here.
+Each check replays a construction or property and returns a
+``CheckResult``: a one-line detail, the numbers it measured, and its bounds
+as data, one ``(key, relation, limit)`` triple per condition on a measured
+value. ``CheckResult.passed`` is the one place a pass is decided. A check's
+run count and seed are keyword-only with no default, so each caller states
+them: ``run_all`` holds ``verify``'s, derived from its flags, and
+``tests/test_acceptance.py`` runs the same checks at its own sizes and
+asserts ``passed``, so each bound is stated once, here. The ``verify``
+command prints one line per check and exits nonzero if any fails.
 
 Worst-case errors are folded with ``np.maximum``, which keeps a NaN that
 the builtin ``max`` would drop.
@@ -142,9 +144,7 @@ def check_hidden_swap_belief() -> CheckResult:
     )
 
 
-def check_oracle_equivalence(
-    runs: int = 200, max_m: int = 5, steps: int = 40, seed: int = 20260810
-) -> CheckResult:
+def check_oracle_equivalence(*, runs: int, max_m: int, steps: int, seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     decode_error = 0.0
     telescope_error = 0.0
@@ -193,7 +193,7 @@ def _random_mixture(rng: np.random.Generator, group, max_k: int) -> Mixture:
     return Mixture(tuple((group[i], float(w)) for i, w in zip(picks, weights)))
 
 
-def check_marginal_bridge(runs: int = 50, max_n: int = 4, steps: int = 20, seed: int = 7) -> CheckResult:
+def check_marginal_bridge(*, runs: int, max_n: int, steps: int, seed: int) -> CheckResult:
     """Mixing-only runs track the joint marginal at every step; a reveal
     zeroes only entries the conditioned joint's marginal has (near) zero,
     exhaustive over the nine reveal targets for n = 3 on the identity state
@@ -254,7 +254,7 @@ def check_marginal_bridge(runs: int = 50, max_n: int = 4, steps: int = 20, seed:
     )
 
 
-def check_sinkhorn(runs: int = 200, seed: int = 11) -> CheckResult:
+def check_sinkhorn(*, runs: int, seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     unconverged = 0
     sum_error = 0.0
@@ -275,7 +275,7 @@ def check_sinkhorn(runs: int = 200, seed: int = 11) -> CheckResult:
     )
 
 
-def check_kronecker(runs: int = 200, seed: int = 13) -> CheckResult:
+def check_kronecker(*, runs: int, seed: int) -> CheckResult:
     """The tracker's ``marginal_step``, a random mix and then a random
     reveal, equals its one bilinear step D_l P_s H D_r + B in Kronecker
     form; folding P_s into the left factor makes one ``kron`` per instance."""
@@ -299,7 +299,7 @@ def check_kronecker(runs: int = 200, seed: int = 13) -> CheckResult:
     )
 
 
-def check_householder_composition(length: int = 256, n: int = 8, seed: int = 17) -> CheckResult:
+def check_householder_composition(length: int = 256, n: int = 8, *, seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     steps = []
     cumulative = identity(n)
@@ -309,35 +309,36 @@ def check_householder_composition(length: int = 256, n: int = 8, seed: int = 17)
         cumulative = compose(cumulative, transposition(n, i, j))
     tracked = hh.run_recurrence(steps, np.eye(n))
     gap = np.abs(tracked - to_matrix(cumulative)).max()
-    swaps = hh.eigenrange_check(steps)
+    # Each gate's one nontrivial eigenvalue is 1 - beta, on its key.
+    min_eig = min(1.0 - step.beta for step in steps)
     return CheckResult(
         "householder-composition",
-        f"{length} swaps in S_{n}: max deviation {gap:.2e}, min eig {swaps.min_eig}",
-        {"gap": gap, "min_eig": swaps.min_eig, "has_negative": swaps.has_negative},
+        f"{length} swaps in S_{n}: max deviation {gap:.2e}, min eig {min_eig}",
+        {"gap": gap, "min_eig": min_eig, "has_negative": min_eig < 0.0},
         (("gap", "<=", 1e-12), ("min_eig", "==", -1.0), ("has_negative", "==", True)),
     )
 
 
-def check_eigen_gate(seed: int = 19) -> CheckResult:
+def check_eigen_gate(*, seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     swaps = [hh.swap_head(8, 0, 1), hh.swap_head(8, 2, 3)]
-    swap_range = hh.eigenrange_check(swaps)
+    swap_min = min(1.0 - step.beta for step in swaps)
     capped = []
     for _ in range(64):
         key = rng.standard_normal(8)
         key /= np.linalg.norm(key)
         capped.append(hh.HouseholderStep(float(rng.uniform(0.0, 1.0)), key))
-    capped_range = hh.eigenrange_check(capped)
+    capped_min = min(1.0 - step.beta for step in capped)
     det = float(np.linalg.det(hh.run_recurrence(capped, np.eye(8))))
     return CheckResult(
         "householder-eigen-gate",
-        f"beta=2 min eig {swap_range.min_eig}; capped min eig {capped_range.min_eig:.3f}, "
+        f"beta=2 min eig {swap_min}; capped min eig {capped_min:.3f}, "
         f"product det {det:.3e} (a swap needs det -1)",
         {
-            "swap_min_eig": swap_range.min_eig,
-            "swap_has_negative": swap_range.has_negative,
-            "capped_min_eig": capped_range.min_eig,
-            "capped_has_negative": capped_range.has_negative,
+            "swap_min_eig": swap_min,
+            "swap_has_negative": swap_min < 0.0,
+            "capped_min_eig": capped_min,
+            "capped_has_negative": capped_min < 0.0,
             "det": det,
         },
         (
@@ -364,7 +365,7 @@ def check_state_counts() -> CheckResult:
     )
 
 
-def check_trace_roundtrip(count: int = 300, seed: int = 23, max_commands: int = 40) -> CheckResult:
+def check_trace_roundtrip(*, count: int, seed: int, max_commands: int = 40) -> CheckResult:
     """Random traces of 1..``max_commands`` commands reparse to the same
     events with no reveal disagreement; the first 500 regenerate to the
     export bytes of the traces the reparse pass generated; the curriculum
@@ -449,7 +450,8 @@ def check_underflow_threshold(long_cycles: int = 1000) -> CheckResult:
 
 
 def run_all(*, runs: int, max_n: int, steps: int, trace_count: int, seed: int) -> list[CheckResult]:
-    """Every check; ``verify`` passes its flags, which hold the defaults."""
+    """Every check at ``verify``'s sizes: its flags hold the defaults of
+    these keywords, and a size no flag sets is the check's own default."""
     return [
         check_absorbing_decay(),
         check_swap_reveal_decay(),

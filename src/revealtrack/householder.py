@@ -12,9 +12,6 @@ recurrence cannot realize a swap (a swap has determinant -1).
 A step applies (beta k)(k^T H) with its gated key beta k stored: bit for
 bit beta (k (k^T H)) when beta is a power of two, as at every swap; other
 gates can differ in the last bit.
-
-Eigenvalues are checked by direct action on k and on vectors orthogonal to
-k; the rank-1 structure makes a general eigensolver unnecessary.
 """
 
 from __future__ import annotations
@@ -65,11 +62,6 @@ class HouseholderStep:
     @property
     def n(self) -> int:
         return self.key.shape[0]
-
-    @property
-    def eigenvalue(self) -> float:
-        """The nontrivial eigenvalue 1 - beta (on span of the key)."""
-        return 1.0 - self.beta
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HouseholderStep):
@@ -122,18 +114,3 @@ def run_recurrence(steps: Sequence[HouseholderStep], h0: np.ndarray) -> np.ndarr
             raise ValueError(f"step of size {step.n} applied to state of shape {h.shape}")
         h -= np.multiply.outer(step.scaled_key, np.dot(key, h))
     return h
-
-
-@dataclass(frozen=True)
-class EigenRange:
-    min_eig: float
-    has_negative: bool
-
-
-def eigenrange_check(steps: Sequence[HouseholderStep]) -> EigenRange:
-    """Extremes of the nontrivial eigenvalues 1 - beta across the sequence."""
-    if not steps:
-        raise ValueError("need at least one step")
-    eigs = [step.eigenvalue for step in steps]
-    lo = min(eigs)
-    return EigenRange(lo, lo < 0.0)

@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .automaton import PermutationMixture, Pfsa, Symbol
-from .perm import Mixture, Permutation, lex_index, lex_indices, one_line_table
+from .perm import Mixture, Permutation, lex_indices, one_line_table
 
 
 class MassUnderflowError(ArithmeticError):
@@ -56,8 +56,9 @@ class JointLinearState:
     """Unnormalized message h * 2**exponent. ``mass`` is ``h.sum()``, so
     the message's ell-1 mass is ``ldexp(mass, exponent)``; ``log_mass`` is
     the running natural log of that mass, -inf once h is the zero vector.
-    Raises ValueError unless every entry of h is real, finite and
-    nonnegative; the zero vector is allowed."""
+    Raises ValueError unless h is a vector whose every entry is real,
+    finite and nonnegative (the zero vector is allowed) and the exponent is
+    an int (a bool is not)."""
 
     h: np.ndarray
     log_mass: float
@@ -65,7 +66,11 @@ class JointLinearState:
     mass: float = field(init=False)
 
     def __post_init__(self) -> None:
+        if isinstance(self.exponent, bool) or not isinstance(self.exponent, int):
+            raise ValueError(f"exponent {self.exponent!r} is not an int")
         h = np.asarray(self.h)
+        if h.ndim != 1:
+            raise ValueError(f"message must be a vector, got shape {h.shape}")
         if np.iscomplexobj(h):
             raise ValueError(f"message has complex dtype {h.dtype}; entries must be real")
         h = h.astype(float)
@@ -181,14 +186,12 @@ def placement_reveal_symbol(n: int, position: int, element: int, name: str = "ob
     return Symbol(name, _identity_kernel(len(table)), keep)
 
 
-def arrangement_automaton(n: int, symbols: Sequence[Symbol], q0: Permutation | None = None) -> Pfsa:
-    """Bundle arrangement symbols over n items into an automaton starting at
-    ``q0`` (identity arrangement by default, which is lex index 0). Raises
-    ValueError unless every symbol has n! states and ``q0`` acts on n items."""
+def arrangement_automaton(n: int, symbols: Sequence[Symbol]) -> Pfsa:
+    """Bundle arrangement symbols over n items into an automaton that starts
+    at the identity arrangement, lex index 0. Raises ValueError unless
+    every symbol has n! states."""
     m = math.factorial(n)
     for symbol in symbols:
         if symbol.m != m:
             raise ValueError(f"symbol {symbol.name!r} has {symbol.m} states, expected {n}! = {m}")
-    if q0 is not None and q0.n != n:
-        raise ValueError(f"q0 acts on {q0.n} items, expected {n}")
-    return Pfsa(tuple(symbols), q0=lex_index(q0) if q0 is not None else 0)
+    return Pfsa(tuple(symbols), q0=0)

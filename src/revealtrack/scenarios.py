@@ -51,7 +51,11 @@ RESET = "reset"
 @dataclass(frozen=True)
 class FloatGrid:
     """A reduced float format: ``sig_bits`` significand bits, round to
-    nearest, and hard flush-to-zero below 2**min_exp (no subnormals)."""
+    nearest, and hard flush-to-zero below 2**min_exp (no subnormals).
+    Raises ValueError unless ``sig_bits`` is an int (a bool is not) in
+    [1, 53] and ``min_exp`` an int in [-1022, 1023]: then 2**min_exp is a
+    float64 normal, so float64 holds every value the grid keeps, and an
+    exact float64 quantity crosses 2**min_exp before it loses bits."""
 
     sig_bits: int
     min_exp: int
@@ -60,6 +64,10 @@ class FloatGrid:
     min_normal: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name, low, high in (("sig_bits", 1, 53), ("min_exp", -1022, 1023)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or not low <= value <= high:
+                raise ValueError(f"{name} {value!r} is not an int in [{low}, {high}]")
         object.__setattr__(self, "_scale", 2.0**self.sig_bits)
         object.__setattr__(self, "min_normal", 2.0**self.min_exp)
 

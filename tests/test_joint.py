@@ -209,6 +209,22 @@ def test_joint_state_rejects_a_complex_message():
         joint_init(np.array([0.5 + 0j, 0.5]))
 
 
+def test_joint_state_rejects_a_matrix_message():
+    # A 3x3 message would otherwise step, sum all nine entries as its mass
+    # and decode to a matrix.
+    with pytest.raises(ValueError, match=r"message must be a vector, got shape \(3, 3\)"):
+        joint_init(np.ones((3, 3)))
+    with pytest.raises(ValueError, match="must be a vector"):
+        JointLinearState(np.ones((3, 3)), 0.0)
+
+
+@pytest.mark.parametrize("exponent", [1.5, True])
+def test_joint_state_rejects_an_exponent_that_is_not_an_int(exponent):
+    # A float exponent would build and fail later in math.ldexp.
+    with pytest.raises(ValueError, match="is not an int"):
+        JointLinearState(np.ones(3), 0.0, exponent)
+
+
 def test_mixture_symbol_validation():
     with pytest.raises(ValueError):
         mixture_symbol(3, [(transposition(3, 0, 1), 0.7), (transposition(3, 0, 2), 0.7)])
@@ -239,15 +255,11 @@ def test_arrangement_automaton_start_state():
     sym = placement_reveal_symbol(3, 0, 0)
     a = arrangement_automaton(3, [sym])
     assert a.q0 == 0
-    b = arrangement_automaton(3, [sym], q0=Permutation((2, 1, 0)))
-    assert b.q0 == lex_index(Permutation((2, 1, 0)))
-    # The automaton is over n items: a symbol over 4 items, or a start over
-    # 3 items in an automaton over 4, is an error, not another state.
+    # The automaton is over n items: a symbol over 4 items is an error, not
+    # another state.
     mix4 = mixture_symbol(4, [(transposition(4, 0, 1), 1.0)], name="mix4")
     with pytest.raises(ValueError, match="symbol 'mix4' has 24 states, expected 3! = 6"):
         arrangement_automaton(3, [mix4])
-    with pytest.raises(ValueError, match="q0 acts on 3 items, expected 4"):
-        arrangement_automaton(4, [mix4], q0=Permutation((1, 0, 2)))
 
 
 def test_dfa_embedding_constant_mass():

@@ -251,9 +251,9 @@ def test_kronecker_check_catches_a_reveal_that_keeps_the_cross(monkeypatch):
         out[r.position, r.element] = 1.0
         return out
 
-    assert check_kronecker(runs=50).passed
+    assert check_kronecker(runs=50, seed=13).passed
     monkeypatch.setattr(marginal, "marginal_reveal", pin_only)
-    assert not check_kronecker(runs=50).passed
+    assert not check_kronecker(runs=50, seed=13).passed
 
 
 def test_sinkhorn_doubly_stochastic_input_untouched():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,8 +46,24 @@ def _reference_round(grid, x):
     return np.where(np.abs(out) < 2.0 ** grid.min_exp, 0.0, out)
 
 
-@pytest.mark.parametrize("grid", [SINGLE_PRECISION, FloatGrid(8, -20)], ids=["single", "8-bit"])
-def test_float_grid_rounding_matches_the_reference_bits(grid):
+def _fraction_round(grid, value):
+    """Grid rounding in exact rationals, independent of frexp and rint: the
+    significand rounded to sig_bits bits, ties to even, then a flush to
+    +0.0 below 2**min_exp."""
+    q = abs(Fraction(value))
+    if q == 0:
+        return 0.0
+    e = q.numerator.bit_length() - q.denominator.bit_length()  # 2**(e-1) < q < 2**(e+1)
+    if q >= Fraction(2) ** e:
+        e += 1
+    unit = Fraction(2) ** (e - grid.sig_bits)  # one grid step in q's binade [2**(e-1), 2**e)
+    rounded = round(q / unit) * unit  # Fraction rounds half to even
+    if rounded < Fraction(2) ** grid.min_exp:
+        return 0.0
+    return math.copysign(float(rounded), value)
+
+
+def _grid_values(grid):
     rng = np.random.default_rng(grid.sig_bits)
     step = 2.0 ** -grid.sig_bits  # one grid step at 1/2 <= |m| < 1
     edge = grid.min_normal
@@ -60,6 +77,12 @@ def test_float_grid_rounding_matches_the_reference_bits(grid):
     near_edge = np.concatenate([edge * (1 + offsets), edge * (1 - offsets / 2), -edge * (1 + offsets)])
     values = np.concatenate([random, ties, -ties, zeros, subnormals, near_edge])
     rng.shuffle(values)
+    return values
+
+
+@pytest.mark.parametrize("grid", [SINGLE_PRECISION, FloatGrid(8, -20)], ids=["single", "8-bit"])
+def test_float_grid_rounding_matches_the_reference_bits(grid):
+    values = _grid_values(grid)
     cases = [values, values[::-1], values[::3], values[:81].reshape(9, 9), values[:1]]
     for x in cases:
         before = x.tobytes()
@@ -68,6 +91,33 @@ def test_float_grid_rounding_matches_the_reference_bits(grid):
         assert out.dtype == expected.dtype and out.shape == expected.shape
         assert out.tobytes() == expected.tobytes()
         assert x.tobytes() == before and not np.shares_memory(out, x)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [SINGLE_PRECISION, FloatGrid(8, -20), FloatGrid(53, -1022), FloatGrid(1, -1022)],
+    ids=["single", "8-bit", "53-bit", "1-bit"],
+)
+def test_float_grid_rounding_matches_exact_rationals(grid):
+    values = _grid_values(grid)
+    expected = np.array([_fraction_round(grid, value) for value in values.tolist()])
+    assert grid.round_array(values).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "sig_bits, min_exp",
+    [(52, -1100), (24, 2000), (True, -126), (24.0, -126), (0, -126), (54, -126), (24, -1023), (24, False)],
+)
+def test_float_grid_rejects_what_float64_cannot_emulate(sig_bits, min_exp):
+    # Below 2**-1022 float64 itself is subnormal, so an exact float64 floor
+    # would lose the entry before crossing the grid's threshold.
+    with pytest.raises(ValueError, match="is not an int in"):
+        FloatGrid(sig_bits, min_exp)
+
+
+def test_marginal_underflow_at_the_smallest_float64_normal():
+    grid = FloatGrid(52, -1022)
+    assert run_and_report(adversarial_marginal_scenario(1200), grid).first_underflow_step == 2045  # cycle 1023
 
 
 def test_joint_scenario_shape():
