@@ -127,13 +127,26 @@ class PermutationMixture:
         if rows.tobytes() != np.arange(m, dtype=np.intp).tobytes() * len(rows):
             g = (rows != np.arange(m)).any(axis=1).argmax()
             raise ValueError(f"index row {g} is not a permutation of range({m})")
+        sources.setflags(write=False)
+        weights.setflags(write=False)
+        self._hold(sources, weights)
+
+    @classmethod
+    def _adopt(cls, sources: np.ndarray, weights: np.ndarray) -> PermutationMixture:
+        """A kernel that takes read-only ``sources`` (intp, each row a
+        permutation) and ``weights`` (on the simplex) as they are, without
+        the copies and checks of the constructor: the caller has checked
+        both."""
+        kernel = object.__new__(cls)
+        kernel._hold(sources, weights)
+        return kernel
+
+    def _hold(self, sources: np.ndarray, weights: np.ndarray) -> None:
         self.sources = sources
         self.weights = weights
-        self.sources.setflags(write=False)
-        self.weights.setflags(write=False)
         # (weight, index row) pairs as Python floats and row views: the
         # per-step loop then does no numpy indexing of its own.
-        self._terms = tuple(zip(self.weights.tolist(), self.sources))
+        self._terms = tuple(zip(weights.tolist(), sources))
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -108,7 +108,7 @@ def joint_step(state: JointLinearState, a: Pfsa, symbol: int) -> JointLinearStat
     """
     h = a.symbols[symbol].apply(state.h)
     before = state.mass
-    after = float(h.sum())
+    after = float(np.add.reduce(h))
     if before > 0 and after > 0:
         log_mass = state.log_mass + math.log(after / before)
     else:
@@ -153,8 +153,12 @@ def mixture_symbol(
     mixture = Mixture.of(mixture)
     if mixture.n != n:
         raise ValueError(f"mixture components act on {mixture.n} items, expected {n}")
-    sources = [_gather(action, g.mapping) for g, _ in mixture.components]
-    return Symbol(name, PermutationMixture(sources, mixture.weights), _all_states(math.factorial(n)))
+    # The Mixture has checked the weights, and each cached gather is a
+    # permutation row, so the kernel takes both without checking them again.
+    sources = np.array([_gather(action, g.mapping) for g, _ in mixture.components])
+    sources.setflags(write=False)
+    kernel = PermutationMixture._adopt(sources, mixture.weights)
+    return Symbol(name, kernel, _all_states(math.factorial(n)))
 
 
 # Holds every element of S_2..S_4 under both actions; at n = 8 a full cache

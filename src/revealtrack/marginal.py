@@ -140,17 +140,16 @@ def vectorized_step(
     return out.reshape((a_left.shape[0], a_right.shape[1]), order="F")
 
 
-def _residual(rows: np.ndarray, cols: np.ndarray) -> float:
-    """Largest deviation of the given row and column sums from 1."""
-    return float(max(np.abs(rows - 1.0).max(), np.abs(cols - 1.0).max()))
-
-
 @dataclass(frozen=True)
 class SinkhornResult:
+    """The projected matrix, sweeps run, residual and converged flag of one
+    matrix; for a ``(..., n, n)`` stack, the projected stack and one array
+    of each of the others, of the stack's leading shape."""
+
     matrix: np.ndarray
-    iterations: int
-    residual: float
-    converged: bool
+    iterations: int | np.ndarray
+    residual: float | np.ndarray
+    converged: bool | np.ndarray
 
 
 def sinkhorn_project(
@@ -170,30 +169,100 @@ def sinkhorn_project(
     theirs, and takes one row sum and one column sum of the result: they
     give the residual, and the row sums divide the next iterate's rows.
     The sums of the input serve the support check and the first residual
-    the same way.
+    the same way. The sweeps are those of ``sinkhorn_project_stack`` on a
+    stack of one. The input is copied in C order, so the bits of the
+    result do not depend on its memory layout.
     """
-    h = np.array(state, dtype=float)
+    h = np.array(state, dtype=float, order="C")
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got {h.shape}")
+    iterations, residual, converged = _sweep(h[None], max_iters, tol)
+    return SinkhornResult(h, int(iterations[0]), float(residual[0]), bool(converged[0]))
+
+
+def sinkhorn_project_stack(
+    states: np.ndarray, max_iters: int = 1000, tol: float = 1e-9
+) -> SinkhornResult:
+    """``sinkhorn_project`` of every matrix of a ``(..., n, n)`` stack in one
+    sweep loop: each matrix leaves the loop at the sweep where its own call
+    stops, so its matrix, iterations, residual and converged flag have the
+    bits of that call. The checks run over the whole stack, in the order
+    ``sinkhorn_project`` runs them, so a stack with one faulty matrix raises
+    what that matrix raises alone. Raises ValueError for an input with no
+    leading axis.
+    """
+    h = np.array(states, dtype=float, order="C")  # so that the reshape below is a view
+    if h.ndim < 3 or h.shape[-1] != h.shape[-2]:
+        raise ValueError(f"expected a stack of square matrices, got {h.shape}")
+    lead = h.shape[:-2]
+    iterations, residual, converged = _sweep(h.reshape((math.prod(lead),) + h.shape[-2:]), max_iters, tol)
+    return SinkhornResult(h, iterations.reshape(lead), residual.reshape(lead), converged.reshape(lead))
+
+
+def _line_sums(h: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write each matrix's row sums, then its column sums, into its row of
+    the (T, 2n) ``out``; returns ``out``."""
+    n = h.shape[-1]
+    np.add.reduce(h, axis=2, out=out[:, :n])
+    np.add.reduce(h, axis=1, out=out[:, n:])
+    return out
+
+
+def _residual(sums: np.ndarray) -> np.ndarray:
+    """Each matrix's largest deviation of a row or column sum from 1."""
+    return np.maximum.reduce(np.abs(sums - 1.0), axis=1)
+
+
+def _sweep(h: np.ndarray, max_iters: int, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The checks and sweeps of ``sinkhorn_project`` over a (T, n, n) stack
+    ``h`` that the caller owns: projects ``h`` in place and returns the
+    per-matrix iterations, residuals and converged flags.
+
+    The sweeps run on the matrices still live. Only a sweep where some
+    matrix stops writes its results back and compresses the live set, so a
+    single matrix pays for that once.
+    """
     if not np.isfinite(h).all():
         raise ValueError("Sinkhorn input must be finite")
     if (h < 0).any():
         raise ValueError("Sinkhorn input must be nonnegative")
-    rows, cols = h.sum(axis=1), h.sum(axis=0)
-    if not (rows.all() and cols.all()):  # a zero sum; the entries are finite
+    n = h.shape[-1]
+    sums = _line_sums(h, np.empty((len(h), 2 * n)))
+    if not sums.all():  # a zero sum; the entries are finite
         raise NoSupportError("input has an all-zero row or column")
 
-    residual = _residual(rows, cols)
-    if residual <= tol:
-        return SinkhornResult(h, 0, residual, True)
+    residual = _residual(sums)
+    converged = residual <= tol
+    iterations = np.zeros(len(h), dtype=int)
+    if converged.all():
+        return iterations, residual, converged
+    live = np.flatnonzero(~converged)
+    work, res = h, residual
+    if len(live) < len(h):
+        work, sums, res = h[live], sums[live], residual[live]
     for iteration in range(1, max_iters + 1):
-        h /= rows[:, None]
-        h /= h.sum(axis=0)
-        rows, cols = h.sum(axis=1), h.sum(axis=0)
-        residual = _residual(rows, cols)
-        if residual <= tol:
-            return SinkhornResult(h, iteration, residual, True)
-    return SinkhornResult(h, max_iters, residual, False)
+        work /= sums[:, :n, None]
+        work /= np.add.reduce(work, axis=1, keepdims=True)
+        res = _residual(_line_sums(work, sums))
+        if np.fmin.reduce(res) <= tol:  # some matrix stops; fmin passes over NaN
+            done = res <= tol
+            if work is h and done.all():  # no matrix stopped before; all stop now
+                iterations[:] = iteration
+                return iterations, res, done
+            stopped = live[done]
+            iterations[stopped] = iteration
+            converged[stopped] = True
+            residual[stopped] = res[done]
+            h[stopped] = work[done]
+            if len(stopped) == len(live):
+                return iterations, residual, converged
+            keep = ~done
+            live, work, sums, res = live[keep], work[keep], sums[keep], res[keep]
+    # The budget ran out for the matrices still live.
+    iterations[live] = max_iters
+    residual[live] = res
+    h[live] = work
+    return iterations, residual, converged
 
 
 def joint_to_marginal(b: np.ndarray, n: int) -> np.ndarray:

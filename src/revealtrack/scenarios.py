@@ -24,7 +24,9 @@ flush-to-zero below the smallest normal magnitude 2**min_exp. A joint
 run steps one ``joint.JointLinearState`` beside the rounded tracker, and
 that state gives the exact columns: the survival is its step's mass
 ratio and the log2 norm is ``exponent + log2(mass)``, so the diagnostic
-outlives both the rounded tracker and float64. The reported first
+outlives both the rounded tracker and float64. Without a grid the reported
+tracker is that state's ``h`` until its first rescale (a reset restores
+it), so each symbol is applied once there. The reported first
 underflow step is the first step whose exact
 decay quantity (the ell-1 mass for joint runs, the smallest nonzero entry
 for marginal runs) drops below 2**min_exp; the rounded tracker's entries
@@ -297,7 +299,12 @@ def _run_joint(scenario: JointScenario, grid: FloatGrid | None) -> DecayReport:
                 raise InconsistentObservationError(
                     f"step {index + 1}: symbol {sym.name!r} is inconsistent"
                 )
-            tracked = grid.round_array(sym.apply(tracked)) if grid else sym.apply(tracked)
+            if grid:
+                tracked = grid.round_array(sym.apply(tracked))
+            elif state.exponent == 0:
+                tracked = state.h  # the bits of sym.apply(tracked) until a rescale
+            else:
+                tracked = sym.apply(tracked)
             labels.append(sym.name)
             survivals.append(math.ldexp(state.mass / before, state.exponent - exponent))
         stored.append(tracked)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from revealtrack.automaton import (
+    PermutationMixture,
     Pfsa,
     Symbol,
     belief_trajectory,
@@ -28,8 +29,9 @@ from revealtrack.joint import (
     joint_step,
     mixture_symbol,
     placement_reveal_symbol,
+    _gather,
 )
-from revealtrack.perm import Permutation, compose, lex_index, symmetric_group, transposition
+from revealtrack.perm import Mixture, Permutation, compose, lex_index, symmetric_group, transposition
 from revealtrack.scenarios import absorbing_automaton, adversarial_joint_scenario, noisy_swap_s3
 
 # The worked three-item example numbers its arrangements 1..6 as the lists
@@ -299,6 +301,29 @@ def test_mixture_kernel_matches_per_state_construction():
                         reference[lex_index(act(g, c)), lex_index(c)] += w
                 kernel = mixture_symbol(n, components, action=action).transition
                 assert np.array_equal(np.asarray(kernel), reference), (n, action, k)
+
+
+def test_trusted_mixture_symbol_equals_the_checked_construction():
+    # mixture_symbol adopts its gathers and the Mixture's weights without
+    # the PermutationMixture checks; the checked constructor, given the
+    # same gathers and weights, must build an equal symbol.
+    rng = np.random.default_rng(43)
+    for n in (2, 3, 4):
+        group = symmetric_group(n)
+        for action in ("position", "element"):
+            for g in group:
+                others = rng.choice(len(group), size=int(rng.integers(0, 3)), replace=False)
+                components = [g] + [group[int(i)] for i in others]
+                weights = rng.dirichlet(np.ones(len(components)))
+                mixture = Mixture(tuple(zip(components, weights.tolist())))
+                symbol = mixture_symbol(n, mixture, action=action)
+                checked = PermutationMixture([_gather(action, p.mapping) for p in components], mixture.weights)
+                reference = Symbol("mix", checked, frozenset(range(math.factorial(n))))
+                assert symbol == reference and hash(symbol) == hash(reference), (n, action, g)
+                kernel = symbol.transition
+                assert kernel.sources.dtype == np.intp
+                assert not kernel.sources.flags.writeable and not kernel.weights.flags.writeable
+                assert [w for w, _ in kernel._terms] == [w for w, _ in checked._terms]
 
 
 def test_gather_apply_matches_dense():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from revealtrack import marginal
-from revealtrack.checks import _random_mixture, check_kronecker, check_marginal_bridge
+from revealtrack.checks import _random_mixture, check_kronecker, check_marginal_bridge, check_sinkhorn
 from revealtrack.marginal import (
     MixSpec,
     NoSupportError,
@@ -18,6 +18,7 @@ from revealtrack.marginal import (
     marginal_step,
     reveal_operators,
     sinkhorn_project,
+    sinkhorn_project_stack,
     vectorized_step,
 )
 from revealtrack.joint import mixture_symbol, placement_reveal_symbol
@@ -480,3 +481,160 @@ def test_sinkhorn_keeps_the_per_sweep_results_and_errors():
             for kwargs in ({"max_iters": 100}, {"max_iters": 0}, {"max_iters": 3}, {"tol": 1e-3}):
                 expected = outcome(per_sweep_sinkhorn, state, **kwargs)
                 assert outcome(sinkhorn_project, state, **kwargs) == expected
+
+
+def stack_outcomes(result):
+    """Each matrix's ``outcome`` fields, read from a ``sinkhorn_project_stack`` result."""
+    n = result.matrix.shape[-1]
+    assert result.matrix.shape[:-2] == result.iterations.shape == result.residual.shape == result.converged.shape
+    return [
+        (matrix.tobytes(), matrix.shape, int(iterations), np.float64(residual).tobytes(), bool(converged))
+        for matrix, iterations, residual, converged in zip(
+            result.matrix.reshape(-1, n, n),
+            result.iterations.ravel().tolist(),
+            result.residual.ravel().tolist(),
+            result.converged.ravel().tolist(),
+        )
+    ]
+
+
+def mixed_stack(rng, count=64):
+    """``count`` 2-by-2 matrices that leave the sweep loop at different
+    sweeps, or never: every kind below at least four times, the rest random."""
+    kinds = [
+        np.full((2, 2), 0.5),  # doubly stochastic: no sweep
+        np.eye(2)[::-1],
+        np.array([[1.0, 1.0], [1.0, 0.0]]),  # converges as O(1/k)
+        np.array([[1e308, 1e308], [1.0, 1.0]]),  # row sums overflow to inf
+        np.array([[1.0, 1.0], [0.0, 1.0]]),  # no total support: exhausts any budget
+    ]
+    stack = kinds * 4 + [rng.random((2, 2)) + 1e-3 for _ in range(count - 4 * len(kinds))]
+    return np.array(stack)[rng.permutation(count)]
+
+
+SWEEP_BUDGETS = ({}, {"max_iters": 3}, {"max_iters": 0}, {"max_iters": 100}, {"tol": 1e-3})
+
+
+def test_a_stack_of_one_keeps_the_single_matrix_results_and_errors():
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflowing input
+        for state in sinkhorn_inputs():
+            state = np.asarray(state, dtype=float)
+            if state.ndim != 2 or state.shape[0] != state.shape[1]:
+                continue
+            for kwargs in SWEEP_BUDGETS:
+                expected = outcome(sinkhorn_project, state, **kwargs)
+                try:
+                    got = stack_outcomes(sinkhorn_project_stack(state[None], **kwargs))[0]
+                except ValueError as exc:
+                    got = type(exc), str(exc)
+                assert got == expected
+
+
+def test_a_mixed_stack_keeps_each_matrix_results():
+    rng = np.random.default_rng(73)
+    stacks = [mixed_stack(rng)]
+    for n in (3, 5):
+        sparse = rng.random((64, n, n)) * (rng.random((64, n, n)) < 0.6)
+        stacks.append(sparse + np.eye(n)[[rng.permutation(n) for _ in range(64)]])  # keeps total support
+        stacks.append(rng.random((64, n, n)) + 1e-3)
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflowing inputs
+        for stack in stacks:
+            before = stack.tobytes()
+            for kwargs in SWEEP_BUDGETS:
+                expected = [outcome(sinkhorn_project, matrix, **kwargs) for matrix in stack]
+                assert stack_outcomes(sinkhorn_project_stack(stack, **kwargs)) == expected
+            assert stack.tobytes() == before  # the input is copied
+        mixed = sinkhorn_project_stack(stacks[0])
+    # The 2-by-2 stack holds matrices that stop at sweep 0, at many later
+    # sweeps, and never within the budget.
+    assert {0, 1000} < set(mixed.iterations.tolist())
+    assert len(set(mixed.iterations.tolist())) > 10
+    assert not mixed.converged.all()
+
+
+def test_a_stack_keeps_its_leading_shape():
+    rng = np.random.default_rng(74)
+    stack = rng.random((2, 3, 4, 4)) + 1e-3
+    stack[1, 2] = np.eye(4)
+    result = sinkhorn_project_stack(stack)
+    assert result.matrix.shape == (2, 3, 4, 4)
+    assert result.iterations.shape == result.residual.shape == result.converged.shape == (2, 3)
+    assert result.iterations[1, 2] == 0
+    assert stack_outcomes(result) == [outcome(sinkhorn_project, matrix) for matrix in stack.reshape(6, 4, 4)]
+
+
+def test_projection_bits_do_not_depend_on_memory_layout():
+    # Both projections copy their input in C order: numpy sums a contiguous
+    # row of 8 or more entries in another order than a strided one.
+    rng = np.random.default_rng(76)
+    for n in (3, 8, 12):
+        stack = rng.random((2, 3, n, n)) + 1e-3
+        expected = [outcome(sinkhorn_project, matrix) for matrix in stack.reshape(6, n, n)]
+        wide = np.zeros((2, 3, n, 2 * n))
+        wide[..., ::2] = stack
+        for layout in (np.asfortranarray(stack), wide[..., ::2], np.swapaxes(np.swapaxes(stack, 2, 3).copy(), 2, 3)):
+            assert stack_outcomes(sinkhorn_project_stack(layout)) == expected
+            assert [outcome(sinkhorn_project, layout[i, j]) for i in range(2) for j in range(3)] == expected
+
+
+@pytest.mark.parametrize(
+    "bad",
+    (
+        np.array([[np.nan, 1.0], [1.0, 1.0]]),
+        np.array([[np.inf, 1.0], [1.0, 1.0]]),
+        np.array([[-1.0, 1.0], [1.0, 1.0]]),
+        np.array([[1.0, 1.0], [0.0, 0.0]]),
+        np.array([[1.0, 0.0], [1.0, 0.0]]),
+    ),
+)
+def test_a_stack_with_one_faulty_matrix_raises_what_that_matrix_raises(bad):
+    with pytest.raises(ValueError) as alone:
+        sinkhorn_project(bad)
+    stack = np.random.default_rng(75).random((16, 2, 2)) + 1e-3
+    for index in (0, 9, 15):
+        faulty = stack.copy()
+        faulty[index] = bad
+        with pytest.raises(ValueError) as stacked:
+            sinkhorn_project_stack(faulty)
+        assert type(stacked.value) is type(alone.value) and str(stacked.value) == str(alone.value)
+
+
+def test_a_stack_needs_a_leading_axis_of_square_matrices():
+    with pytest.raises(ValueError, match="expected a stack of square matrices"):
+        sinkhorn_project_stack(np.eye(3))
+    with pytest.raises(ValueError, match="expected a stack of square matrices"):
+        sinkhorn_project_stack(np.ones((2, 2, 3)))
+    empty = sinkhorn_project_stack(np.ones((0, 3, 3)))
+    assert empty.matrix.shape == (0, 3, 3) and empty.iterations.shape == (0,)
+
+
+def per_matrix_sinkhorn_check(runs, seed):
+    """``check_sinkhorn``'s measurements from one (5, 5) draw and one
+    projection per matrix."""
+    rng = np.random.default_rng(seed)
+    unconverged = 0
+    sum_error = 0.0
+    for _ in range(runs):
+        result = sinkhorn_project(rng.random((5, 5)) + 1e-3)
+        unconverged += not result.converged
+        sum_error = np.maximum(sum_error, np.abs(result.matrix.sum(axis=0) - 1.0).max())
+        sum_error = np.maximum(sum_error, np.abs(result.matrix.sum(axis=1) - 1.0).max())
+    pinned = sinkhorn_project(np.diag([1.0, 1.0, 0.5])).matrix
+    return unconverged, np.float64(sum_error).tobytes(), pinned.tobytes(), np.allclose(pinned, np.eye(3), atol=1e-9)
+
+
+@pytest.mark.parametrize("runs", (1, 7, 200))
+def test_sinkhorn_check_draws_and_measures_as_a_per_matrix_loop(runs):
+    # verify's seed for C07, and two more.
+    for seed in (20260812, 3, 2**63 + 5):
+        stacked, single = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(stacked.random((runs, 5, 5)), [single.random((5, 5)) for _ in range(runs)])
+        assert stacked.bit_generator.state == single.bit_generator.state
+        measured = check_sinkhorn(runs=runs, seed=seed).measured
+        got = (
+            measured["unconverged"],
+            np.float64(measured["sum_error"]).tobytes(),
+            measured["pinned"].tobytes(),
+            measured["identity_ok"],
+        )
+        assert got == per_matrix_sinkhorn_check(runs, seed)
