@@ -169,9 +169,10 @@ def check_oracle_equivalence(*, runs: int, max_m: int, steps: int, seed: int) ->
         for survival in survivals.tolist():
             log_product += math.log(survival)
         decode_error = np.maximum(decode_error, np.abs(beliefs[1:] - exact[1:]).max(initial=0.0))
-        product = math.exp(log_product)
-        mass = math.ldexp(state.mass, state.exponent)
-        telescope_error = np.maximum(telescope_error, abs(mass - product) / product)
+        # Compared in the state's own power-of-two scale: past float64's
+        # range both the mass and the product underflow to 0.
+        product = math.exp(log_product - state.exponent * math.log(2))
+        telescope_error = np.maximum(telescope_error, abs(state.mass - product) / product)
         log_mass_error = np.maximum(log_mass_error, abs(state.log_mass - log_product))
     return CheckResult(
         "joint-oracle-equivalence",

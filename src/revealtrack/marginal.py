@@ -169,9 +169,9 @@ def sinkhorn_project(
     theirs, and takes one row sum and one column sum of the result: they
     give the residual, and the row sums divide the next iterate's rows.
     The sums of the input serve the support check and the first residual
-    the same way. The sweeps are those of ``sinkhorn_project_stack`` on a
-    stack of one. The input is copied in C order, so the bits of the
-    result do not depend on its memory layout.
+    the same way. This is the one-matrix case of the plain sweep loop that
+    ``sinkhorn_project_stack`` runs. The input is copied in C order, so the
+    bits of the result do not depend on its memory layout.
     """
     h = np.array(state, dtype=float, order="C")
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -199,13 +199,9 @@ def sinkhorn_project_stack(
     return SinkhornResult(h, iterations.reshape(lead), residual.reshape(lead), converged.reshape(lead))
 
 
-def _line_sums(h: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write each matrix's row sums, then its column sums, into its row of
-    the (T, 2n) ``out``; returns ``out``."""
-    n = h.shape[-1]
-    np.add.reduce(h, axis=2, out=out[:, :n])
-    np.add.reduce(h, axis=1, out=out[:, n:])
-    return out
+def _line_sums(h: np.ndarray) -> np.ndarray:
+    """Each matrix's row sums, then its column sums, as a row of a (T, 2n) array."""
+    return np.concatenate((np.add.reduce(h, axis=2), np.add.reduce(h, axis=1)), axis=1)
 
 
 def _residual(sums: np.ndarray) -> np.ndarray:
@@ -218,16 +214,16 @@ def _sweep(h: np.ndarray, max_iters: int, tol: float) -> tuple[np.ndarray, np.nd
     ``h`` that the caller owns: projects ``h`` in place and returns the
     per-matrix iterations, residuals and converged flags.
 
-    The sweeps run on the matrices still live. Only a sweep where some
-    matrix stops writes its results back and compresses the live set, so a
-    single matrix pays for that once.
+    Each sweep gathers the matrices still live, divides their rows and then
+    their columns once, writes them back with their line sums, residuals and
+    sweep count, and drops from the live set those now within ``tol``.
     """
     if not np.isfinite(h).all():
         raise ValueError("Sinkhorn input must be finite")
     if (h < 0).any():
         raise ValueError("Sinkhorn input must be nonnegative")
     n = h.shape[-1]
-    sums = _line_sums(h, np.empty((len(h), 2 * n)))
+    sums = _line_sums(h)
     if not sums.all():  # a zero sum; the entries are finite
         raise NoSupportError("input has an all-zero row or column")
 
@@ -237,32 +233,16 @@ def _sweep(h: np.ndarray, max_iters: int, tol: float) -> tuple[np.ndarray, np.nd
     if converged.all():
         return iterations, residual, converged
     live = np.flatnonzero(~converged)
-    work, res = h, residual
-    if len(live) < len(h):
-        work, sums, res = h[live], sums[live], residual[live]
     for iteration in range(1, max_iters + 1):
-        work /= sums[:, :n, None]
+        work = h[live] / sums[live, :n, None]
         work /= np.add.reduce(work, axis=1, keepdims=True)
-        res = _residual(_line_sums(work, sums))
-        if np.fmin.reduce(res) <= tol:  # some matrix stops; fmin passes over NaN
-            done = res <= tol
-            if work is h and done.all():  # no matrix stopped before; all stop now
-                iterations[:] = iteration
-                return iterations, res, done
-            stopped = live[done]
-            iterations[stopped] = iteration
-            converged[stopped] = True
-            residual[stopped] = res[done]
-            h[stopped] = work[done]
-            if len(stopped) == len(live):
-                return iterations, residual, converged
-            keep = ~done
-            live, work, sums, res = live[keep], work[keep], sums[keep], res[keep]
-    # The budget ran out for the matrices still live.
-    iterations[live] = max_iters
-    residual[live] = res
-    h[live] = work
-    return iterations, residual, converged
+        line = _line_sums(work)
+        res = _residual(line)
+        h[live], sums[live], residual[live], iterations[live] = work, line, res, iteration
+        live = live[~(res <= tol)]  # a NaN residual never stops
+        if not len(live):
+            break
+    return iterations, residual, residual <= tol
 
 
 def joint_to_marginal(b: np.ndarray, n: int) -> np.ndarray:

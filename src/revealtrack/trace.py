@@ -391,8 +391,9 @@ def parse(text: str) -> Trace:
     is what ``render`` makes of the events. The returned config carries
     reconstructed metadata: counts are exact, the command kind is inferred
     from statement shapes, the spacing is inferred when every reveal ends a
-    window of that many commands and fewer follow the last (1 otherwise),
-    and the seed is unknowable (0).
+    window of that many commands and fewer follow the last, is one more
+    than the command count when there is no reveal (so the config has no
+    reveal either), and is 1 otherwise; the seed is unknowable (0).
 
     The initialized variables must be ``a``, ``b``, ... in order, so each
     distinct line is read once per process, through one memo keyed by the
@@ -466,6 +467,8 @@ def parse(text: str) -> Trace:
     # ``spacing`` commands after the last reveal would have ended in a reveal.
     if spacing and n_commands - commands_at_reveal >= spacing:
         spacing = 0
+    if spacing is None:  # no reveal: one window longer than the trace
+        spacing = n_commands + 1
     config = TraceConfig(
         n_vars=n_vars,
         n_commands=n_commands,

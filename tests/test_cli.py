@@ -403,6 +403,13 @@ def test_verify_small_run(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_runs_past_float64_range(capsys):
+    # At 2500 steps a run's mass leaves float64's range; C05 compares it in
+    # the state's own power-of-two scale.
+    assert main(["verify", "--steps", "2500", "--runs", "20"]) == 0
+    assert "13/13 checks passed" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("count", ("0", "-3"))
 def test_gen_traces_rejects_count_below_one(tmp_path, capsys, count):
     out = tmp_path / "traces.jsonl"

@@ -173,6 +173,10 @@ def test_oracle_check_folds_the_same_bits_as_a_per_step_loop(max_m):
             assert measured[key] == value, key  # bit for bit, not within a tolerance
 
 
+def test_oracle_check_passes_once_the_mass_underflows_float64():
+    assert check_oracle_equivalence(runs=20, max_m=5, steps=3000, seed=20260810).passed
+
+
 def test_joint_init_restarts_from_a_prior():
     # A full reset starts the tracker again at a prior, whatever it held before.
     uniform = np.full(6, 1.0 / 6.0)

@@ -334,7 +334,22 @@ def test_parse_inverts_generate(kind, n_vars, spacing):
         assert parsed.final_state == trace.final_state
         assert render(parsed) == parsed.text
         assert (parsed.config.n_vars, parsed.config.n_commands) == (n_vars, config.n_commands)
-        assert parsed.config.reveal_spacing == (spacing if config.n_reveals else 1)
+        assert parsed.config.reveal_spacing == (spacing if config.n_reveals else config.n_commands + 1)
+
+
+@pytest.mark.parametrize("n_vars", (2, 3, 4, 5, 6))
+@pytest.mark.parametrize("kind", COMMAND_KINDS)
+def test_a_parsed_config_rebuilds_its_trace(kind, n_vars):
+    # Traces with no reveal, with a partial last window and with whole
+    # windows only: the parsed config counts the reveals the text holds.
+    for spacing in (1, 2, 3, 8):
+        for n_commands in range(1, 20):
+            config = TraceConfig(n_vars, n_commands, spacing, kind, seed=derive_seed(13, spacing, n_commands))
+            parsed = parse(generate(config).text)
+            assert parsed.config.n_reveals == len(parsed.reveal_spans)
+            commands = [ev.permutation for ev in parsed.events if ev.kind == "command"]
+            revealed = [ev.var for ev in parsed.events if ev.kind == "reveal"]
+            assert build_trace(parsed.config, commands, revealed).text == parsed.text
 
 
 def test_parse_normalizes_line_endings():
