@@ -11,7 +11,7 @@ as h * 2**exponent (Rabiner's scaled forward recursion, 1989, section
 V.A): once the mass of h falls below 2**-512, ``joint_step`` scales h into
 mass [1/2, 1) by a power of two, which rounds nothing. So a state that
 never gets that low keeps the unscaled bits, and ``log_mass``, the natural
-log of the mass summed from the ratio of each step's mass to the last,
+log of the mass the state carries, read from h's sum and the exponent,
 stays finite after h alone would underflow.
 
 Arrangement automata: the states are the n! ways to place n distinct
@@ -54,14 +54,13 @@ _RESCALE_BELOW = 2.0**-512  # far above the subnormals, so no entry that carries
 @dataclass(frozen=True)
 class JointLinearState:
     """Unnormalized message h * 2**exponent. ``mass`` is ``h.sum()``, so
-    the message's ell-1 mass is ``ldexp(mass, exponent)``; ``log_mass`` is
-    the running natural log of that mass, -inf once h is the zero vector.
-    Raises ValueError unless h is a vector whose every entry is real,
-    finite and nonnegative (the zero vector is allowed) and the exponent is
-    an int (a bool is not)."""
+    the message's ell-1 mass is ``ldexp(mass, exponent)``, and ``log_mass``
+    is its natural log, -inf once h is the zero vector. Raises ValueError
+    unless h is a vector whose every entry is real, finite and nonnegative
+    (the zero vector is allowed) and the exponent is an int (a bool is
+    not)."""
 
     h: np.ndarray
-    log_mass: float
     exponent: int = 0
     mass: float = field(init=False)
 
@@ -82,20 +81,24 @@ class JointLinearState:
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "mass", float(h.sum()))
 
+    @property
+    def log_mass(self) -> float:
+        """The natural log of the carried mass ``ldexp(mass, exponent)``."""
+        return math.log(self.mass) + self.exponent * math.log(2) if self.mass > 0 else -math.inf
+
     @classmethod
-    def _adopt(cls, h: np.ndarray, log_mass: float, mass: float, exponent: int) -> JointLinearState:
+    def _adopt(cls, h: np.ndarray, mass: float, exponent: int) -> JointLinearState:
         """A state that takes ownership of a fresh ``h`` summing to ``mass``,
         without the copy and the sum of the constructor."""
         h.setflags(write=False)
         state = object.__new__(cls)
-        state.__dict__.update(h=h, log_mass=log_mass, exponent=exponent, mass=mass)
+        state.__dict__.update(h=h, exponent=exponent, mass=mass)
         return state
 
 
 def joint_init(b0: np.ndarray) -> JointLinearState:
     """The state h = b0, checked as ``JointLinearState`` checks it."""
-    state = JointLinearState(b0, -math.inf)
-    return JointLinearState._adopt(state.h, math.log(state.mass), state.mass, 0) if state.mass > 0 else state
+    return JointLinearState(b0)
 
 
 def joint_step(state: JointLinearState, a: Pfsa, symbol: int) -> JointLinearState:
@@ -104,20 +107,16 @@ def joint_step(state: JointLinearState, a: Pfsa, symbol: int) -> JointLinearStat
     exponent takes back, which rounds nothing.
 
     A state that has decayed to the zero vector is representable: the step
-    returns it with log_mass = -inf instead of raising.
+    returns it, with log_mass -inf, instead of raising.
     """
     h = a.symbols[symbol].apply(state.h)
-    before = state.mass
-    after = float(np.add.reduce(h))
-    if before > 0 and after > 0:
-        log_mass = state.log_mass + math.log(after / before)
-    else:
-        log_mass = -math.inf
-    if 0 < after < _RESCALE_BELOW:
-        after, shift = math.frexp(after)
+    mass = float(np.add.reduce(h))
+    exponent = state.exponent
+    if 0 < mass < _RESCALE_BELOW:
+        mass, shift = math.frexp(mass)
         np.ldexp(h, -shift, out=h)
-        return JointLinearState._adopt(h, log_mass, after, state.exponent + shift)
-    return JointLinearState._adopt(h, log_mass, after, state.exponent)
+        exponent += shift
+    return JointLinearState._adopt(h, mass, exponent)
 
 
 def joint_decode(state: JointLinearState) -> np.ndarray:

@@ -157,13 +157,13 @@ def sinkhorn_project(
 ) -> SinkhornResult:
     """Alternate row/column normalization toward a doubly stochastic matrix.
 
-    Requires finite, nonnegative entries (raises ValueError otherwise) and
-    a nonzero entry in every row and column (raises NoSupportError
-    otherwise). Stops once the worst row/column sum deviates
-    from 1 by at most ``tol``; if ``max_iters`` passes are exhausted first,
-    the best iterate is returned with ``converged=False`` rather than
-    raising, since matrices produced by reveals can sit on the polytope
-    boundary where convergence is slow.
+    Requires finite, nonnegative entries, an int ``max_iters`` >= 0 and a
+    finite ``tol`` >= 0 (raises ValueError otherwise) and a nonzero entry
+    in every row and column (raises NoSupportError otherwise). Stops once
+    the worst row/column sum deviates from 1 by at most ``tol``; if
+    ``max_iters`` passes are exhausted first, the best iterate is returned
+    with ``converged=False`` rather than raising, since matrices produced
+    by reveals can sit on the polytope boundary where convergence is slow.
 
     Each iterate divides the rows by their sums, then the columns by
     theirs, and takes one row sum and one column sum of the result: they
@@ -217,7 +217,13 @@ def _sweep(h: np.ndarray, max_iters: int, tol: float) -> tuple[np.ndarray, np.nd
     Each sweep gathers the matrices still live, divides their rows and then
     their columns once, writes them back with their line sums, residuals and
     sweep count, and drops from the live set those now within ``tol``.
+    Raises ValueError unless ``max_iters`` is an int (not a bool) of at
+    least 0 and ``tol`` a finite number of at least 0.
     """
+    if isinstance(max_iters, bool) or not isinstance(max_iters, int) or max_iters < 0:
+        raise ValueError(f"max_iters must be an int >= 0, got {max_iters!r}")
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     if not np.isfinite(h).all():
         raise ValueError("Sinkhorn input must be finite")
     if (h < 0).any():

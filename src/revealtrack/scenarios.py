@@ -43,7 +43,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .automaton import InconsistentObservationError, Pfsa, reveal_only, transition_only
-from .joint import JointLinearState, joint_decode, joint_init, joint_step, mixture_symbol, placement_reveal_symbol
+from .joint import joint_decode, joint_init, joint_step, mixture_symbol, placement_reveal_symbol
 from .marginal import MixSpec, RevealSpec, marginal_init, marginal_step
 from .perm import Mixture, identity, transposition
 
@@ -287,7 +287,7 @@ def _run_joint(scenario: JointScenario, grid: FloatGrid | None) -> DecayReport:
     for index, op in enumerate(scenario.steps):
         if op == RESET:
             # Gated reset: history annihilated, prior injected at full mass.
-            state = JointLinearState(joint_decode(state), 0.0)
+            state = joint_init(joint_decode(state))
             tracked = grid.round_array(state.h) if grid else state.h
             labels.append("reset")
             survivals.append(None)

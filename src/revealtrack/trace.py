@@ -398,7 +398,8 @@ def parse(text: str) -> Trace:
     The initialized variables must be ``a``, ``b``, ... in order, so each
     distinct line is read once per process, through one memo keyed by the
     line, the variable count and whether a print is open, bounded at
-    ``_CACHE_SIZE`` entries. Values are converted on every read.
+    ``_CACHE_SIZE`` entries. The memo keeps where a value's digits start,
+    not a copy of them, and the value is converted on every read.
     """
     lines = text.splitlines()
     events: list[TraceEvent] = []
@@ -423,39 +424,41 @@ def parse(text: str) -> Trace:
             state = what.step(state)
             full = full or detail
             n_commands += 1
-        elif kind == "output":
-            value = _value(line, detail, lineno)
-            if what != pending_print:
-                raise TraceParseError(
-                    f"output line names {what!r} but print revealed {pending_print!r}",
-                    lineno,
-                )
-            events.append(_reveal(names.index(what), value))
-            # The value fills the line past the one-letter name and a space.
-            spans.append((start + 2, start + len(line)))
-            gap, commands_at_reveal = n_commands - commands_at_reveal, n_commands
-            if spacing is None:
-                spacing = gap
-            elif gap != spacing:
-                spacing = 0
-            pending_print = None
         elif kind == "print":
             pending_print = what
-        else:  # an init
-            value = _value(line, detail, lineno)
-            # As in ``execute``: n_vars counts the inits so far, and the
-            # first other event, if any, is the one just after them.
-            if len(events) != n_vars:
-                raise TraceParseError(f"initialization after the first {events[n_vars].kind}", lineno)
-            if what in names:
-                raise TraceParseError(f"variable {what!r} initialized twice", lineno)
-            # n_vars < 26 here: after z, every name was initialized.
-            if what != _NAMES[n_vars]:
-                raise TraceParseError(f"out-of-order variable {what!r}", lineno)
-            events.append(_init(n_vars, value))
-            names += what
-            n_vars += 1
-            state.append(value)
+        else:  # an output or an init, whose digits fill the line from ``detail``
+            try:  # under the current ``sys.get_int_max_str_digits()``
+                value = int(line[detail:])
+            except ValueError as exc:
+                raise TraceParseError(str(exc), lineno, detail + 1) from None
+            if kind == "output":
+                if what != pending_print:
+                    raise TraceParseError(
+                        f"output line names {what!r} but print revealed {pending_print!r}",
+                        lineno,
+                    )
+                events.append(_reveal(names.index(what), value))
+                spans.append((start + detail, start + len(line)))
+                gap, commands_at_reveal = n_commands - commands_at_reveal, n_commands
+                if spacing is None:
+                    spacing = gap
+                elif gap != spacing:
+                    spacing = 0
+                pending_print = None
+            else:
+                # As in ``execute``: n_vars counts the inits so far, and the
+                # first other event, if any, is the one just after them.
+                if len(events) != n_vars:
+                    raise TraceParseError(f"initialization after the first {events[n_vars].kind}", lineno)
+                if what in names:
+                    raise TraceParseError(f"variable {what!r} initialized twice", lineno)
+                # n_vars < 26 here: after z, every name was initialized.
+                if what != _NAMES[n_vars]:
+                    raise TraceParseError(f"out-of-order variable {what!r}", lineno)
+                events.append(_init(n_vars, value))
+                names += what
+                n_vars += 1
+                state.append(value)
 
     end_line = len(lines) + 1
     if pending_print is not None:
@@ -479,15 +482,6 @@ def parse(text: str) -> Trace:
     return Trace(config, tuple(events), "\n".join(lines) + "\n", tuple(spans), tuple(state))
 
 
-def _value(line: str, digits: str, lineno: int) -> int:
-    """The int of ``digits``, which end ``line``, under the current
-    ``sys.get_int_max_str_digits()``."""
-    try:
-        return int(digits)
-    except ValueError as exc:
-        raise TraceParseError(str(exc), lineno, len(line) - len(digits) + 1) from None
-
-
 class _LineError(Exception):
     """A line-local parse error; ``parse`` adds the line number."""
 
@@ -497,21 +491,22 @@ class _LineError(Exception):
         self.column = column
 
 
-def _digits(match: re.Match) -> str:
-    """The integer literal in the second group of an init or output line,
-    which must be written as the interpreter writes it, with no leading
-    zero, so the line is the one its shared event renders."""
-    digits = match.group(2)
-    if digits[0] == "0" and len(digits) > 1:
-        raise _LineError("leading zeros in an integer literal are not permitted", match.start(2) + 1)
-    return digits
+def _digit_column(match: re.Match) -> int:
+    """Where the integer literal in the second group of an init or output
+    line starts. It must be written as the interpreter writes it, with no
+    leading zero, so the line is the one its shared event renders."""
+    column = match.start(2)
+    if match.string[column] == "0" and match.end(2) > column + 1:
+        raise _LineError("leading zeros in an integer literal are not permitted", column + 1)
+    return column
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _parse_line(line: str, n: int, printing: bool) -> tuple[str, object, object]:
     """``line`` under the first ``n`` variables ``a``, ``b``, ..., with a
-    print open or not: ``(kind, name, digits)`` for an output (the one kind
-    read while a print is open) or an init, ``("print", name, None)``, or
+    print open or not: ``(kind, name, column)`` for an output (the one kind
+    read while a print is open) or an init, whose digits fill the line from
+    index ``column``, ``("print", name, None)``, or
     ``("command", event, lists_more_than_two)``.
 
     Memoized: a transcript repeats few distinct lines. Errors raise and are
@@ -523,11 +518,11 @@ def _parse_line(line: str, n: int, printing: bool) -> tuple[str, object, object]
         out = _OUTPUT_RE.match(line)
         if not out:
             raise _LineError(f"expected reveal output line, got {line!r}")
-        return "output", out.group(1), _digits(out)
+        return "output", out.group(1), _digit_column(out)
     names = _NAMES[:n]
     init = _INIT_RE.match(line)
     if init:
-        return "init", init.group(1), _digits(init)
+        return "init", init.group(1), _digit_column(init)
     printed = _PRINT_RE.match(line)
     if printed:
         label, operand = printed.groups()

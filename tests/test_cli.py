@@ -140,7 +140,7 @@ PASS joint-absorbing-decay: inexact norms 0, max decode error 0.00e+00 over 20 c
 PASS marginal-swap-reveal-decay: 5/5 matrices exact, unrevealed entry follows [0.5, 0.25, 0.125]
 PASS noisy-swap-worked-example: h1 exact=True, h2 exact=True, uniform reset error 0.00e+00
 PASS hidden-swap-belief: trajectory [1. 0.] -> [0.5 0.5] -> [1. 0.]
-PASS joint-oracle-equivalence: 200 runs of 40 steps: decode err 2.22e-16, telescoping err 5.51e-15, log-mass err 3.55e-15
+PASS joint-oracle-equivalence: 200 runs of 40 steps: decode err 2.22e-16, telescoping err 5.51e-15, log-mass err 5.33e-15
 PASS marginal-joint-bridge: mixing error 2.22e-16 over 50 runs; largest posterior mass on a zeroed entry 0.00e+00 (389 reveals)
 PASS sinkhorn-projection: 200 positive matrices: 0 unconverged, row/column sums within 9.87e-10 of 1; diagonal support -> identity True
 PASS kronecker-vectorization: 200 marginal mix-then-reveal steps against their Kronecker form: max gap 2.22e-16

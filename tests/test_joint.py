@@ -98,7 +98,7 @@ def test_fuzzy_swap_matrix_matches_hand_computation():
 def test_decode_one_hot_and_underflow():
     state = joint_init(one_hot(4, 2))
     assert np.array_equal(joint_decode(state), one_hot(4, 2))
-    dead = JointLinearState(np.zeros(3), -math.inf)
+    dead = JointLinearState(np.zeros(3))
     with pytest.raises(MassUnderflowError):
         joint_decode(dead)
 
@@ -119,7 +119,7 @@ def test_exact_mass_outlives_h():
     state = joint_init(scenario.initial)
     for symbol in scenario.steps:
         state = joint_step(state, scenario.automaton, symbol)
-    assert abs(state.log_mass - 1200 * math.log(0.5)) <= 1e-12 * 1200 * math.log(2)
+    assert abs(state.log_mass - 1200 * math.log(0.5)) <= 1e-15 * 1200 * math.log(2)
     fraction, shift = math.frexp(state.mass)
     assert fraction == 0.5 and shift + state.exponent == -1199
     assert np.array_equal(joint_decode(state), [0.0, 0.5, 0.5])
@@ -127,14 +127,32 @@ def test_exact_mass_outlives_h():
 
 def test_rescale_keeps_the_message():
     # Below 2**-512 a step scales h by a power of two into mass [1/2, 1):
-    # the message h * 2**exponent and the log mass carry on unchanged.
+    # the message h * 2**exponent, and so its log mass, carry on unchanged.
     a = absorbing_automaton()
-    state = JointLinearState(np.array([0.0, 2.0**-513, 2.0**-513]), 0.0)
+    state = JointLinearState(np.array([0.0, 2.0**-513, 2.0**-513]))
+    assert state.log_mass == math.log(2.0**-512)
     mixed = joint_step(state, a, a.symbol_index("mix"))
     assert mixed.exponent == 0 and mixed.mass == 2.0**-512
     revealed = joint_step(mixed, a, a.symbol_index("reveal"))
     assert np.array_equal(revealed.h, [0.0, 0.25, 0.25]) and revealed.exponent == -512
-    assert revealed.log_mass == math.log(0.5)
+    assert revealed.log_mass == math.log(2.0**-513)
+
+
+def test_log_mass_is_read_from_the_carried_mass():
+    # C05's sequence at verify --steps 2500 --runs 20 takes the mass past
+    # float64's range; at every step the log mass is that of h's sum
+    # times 2**exponent, not a running sum that drifts from it.
+    rng = np.random.default_rng(20260810)
+    lowest = 0.0
+    for _ in range(20):
+        m = int(rng.integers(2, 6))
+        a = random_automaton(m, int(rng.integers(2, 4)), rng)
+        state = joint_init(one_hot(a.m, a.q0))
+        for s in sample_trajectory(a, 2500, rng).symbols:
+            state = joint_step(state, a, s)
+            assert state.log_mass == math.log(state.mass) + state.exponent * math.log(2)
+        lowest = min(lowest, state.log_mass)
+    assert lowest < -1074 * math.log(2)  # below float64's smallest subnormal
 
 
 def per_step_oracle_measurements(runs, max_m, steps, seed):
@@ -204,13 +222,13 @@ def test_joint_state_rejects_a_bad_message(h, entry):
     # The constructor checks what joint_init checks, so a NaN is never
     # stepped into a log mass of -inf that reads as decay.
     with pytest.raises(ValueError, match=entry):
-        JointLinearState(np.array(h), 0.0)
+        JointLinearState(np.array(h))
 
 
 def test_joint_state_rejects_a_complex_message():
     # Cast to float, the message would silently lose its imaginary part.
     with pytest.raises(ValueError, match="complex dtype"):
-        JointLinearState(np.array([1 + 1j, 1.0]), 0.0)
+        JointLinearState(np.array([1 + 1j, 1.0]))
     with pytest.raises(ValueError, match="complex dtype"):
         joint_init(np.array([0.5 + 0j, 0.5]))
 
@@ -221,14 +239,15 @@ def test_joint_state_rejects_a_matrix_message():
     with pytest.raises(ValueError, match=r"message must be a vector, got shape \(3, 3\)"):
         joint_init(np.ones((3, 3)))
     with pytest.raises(ValueError, match="must be a vector"):
-        JointLinearState(np.ones((3, 3)), 0.0)
+        JointLinearState(np.ones((3, 3)))
 
 
-@pytest.mark.parametrize("exponent", [1.5, True])
+@pytest.mark.parametrize("exponent", [1.5, True, 0.0, -math.inf])
 def test_joint_state_rejects_an_exponent_that_is_not_an_int(exponent):
-    # A float exponent would build and fail later in math.ldexp.
+    # A float exponent would build and fail later in math.ldexp; so a call
+    # that still passes a log mass second fails here.
     with pytest.raises(ValueError, match="is not an int"):
-        JointLinearState(np.ones(3), 0.0, exponent)
+        JointLinearState(np.ones(3), exponent)
 
 
 def test_mixture_symbol_validation():

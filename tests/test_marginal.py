@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -296,6 +298,33 @@ def test_sinkhorn_budget_exhaustion_returns_best_iterate():
     assert generous.converged
     assert generous.residual <= 1e-5
     assert np.allclose(generous.matrix, [[0, 1], [1, 0]], atol=1e-4)
+
+
+@pytest.mark.parametrize(
+    "project",
+    [sinkhorn_project, lambda h, **budget: sinkhorn_project_stack(np.array([h]), **budget)],
+    ids=["matrix", "stack"],
+)
+@pytest.mark.parametrize(
+    "budget, message",
+    [
+        ({"max_iters": -3}, "max_iters must be an int >= 0, got -3"),
+        ({"max_iters": True}, "max_iters must be an int >= 0, got True"),
+        ({"max_iters": 2.0}, "max_iters must be an int >= 0, got 2.0"),
+        ({"tol": math.nan}, "tol must be a finite number >= 0, got nan"),
+        ({"tol": math.inf}, "tol must be a finite number >= 0, got inf"),
+        ({"tol": -1e-9}, "tol must be a finite number >= 0, got -1e-09"),
+        ({"tol": "1e-9"}, "tol must be a finite number >= 0, got '1e-9'"),
+    ],
+    ids=["negative-budget", "bool-budget", "float-budget", "nan-tol", "inf-tol", "negative-tol", "str-tol"],
+)
+def test_sinkhorn_rejects_a_bad_budget(project, budget, message):
+    # A negative budget would report 0 sweeps, and a NaN tol would run out
+    # every sweep of the budget; both raise before the first sweep, as
+    # they do on a matrix that needs none.
+    for h in ([[1.0, 1.0], [0.0, 1.0]], [[2.0, 1.0], [1.0, 2.0]], np.eye(2)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            project(h, **budget)
 
 
 def test_joint_to_marginal_point_masses():

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -698,6 +699,25 @@ def test_parse_checks_the_first_name():
     # The same command line parses under a and b, and is memoized by the
     # line and the variable count.
     assert parse(">>> a = 1\n>>> b = 2\n>>> a, b = b, a\n").final_state == (2, 1)
+
+
+def test_parse_memo_keeps_no_copy_of_the_digits():
+    # An init or output line is kept once, as the memo's key; its entry
+    # holds where the digits start, so a 4000-digit line adds no 4 kB copy.
+    digits = "7" * 4000
+    text = f">>> a = {digits}\n>>> b = 2\n>>> a, b = b, a\n>>> print('b', b)\nb {digits}\n"
+    trace_module._parse_line.cache_clear()
+    tracemalloc.start()
+    try:
+        parse(text)
+        before = tracemalloc.get_traced_memory()[0]
+        trace_module._parse_line.cache_clear()
+        kept = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    keys = sum(sys.getsizeof(line) for line in text.splitlines())
+    assert kept < keys + 2000  # a copy of each value's digits would add 8 kB
+    assert parse(text).final_state == (2, int(digits))
 
 
 LONG = "7" * 5000  # past the default limit of 4300 digits
