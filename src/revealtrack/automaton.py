@@ -40,6 +40,14 @@ is the mask product alone; any other symbol prunes, then steps. Since z
 holds only 0 and 1, each form gives the bits of T @ (z * b): a term
 (T_ij z_j) b_j equals T_ij (z_j b_j), sign of zero included, and the
 terms are summed in the same order.
+
+``belief_update_stack`` is the stacked form of ``belief_update`` for dense
+kernels: it steps T beliefs at once, each through its own kernel from a
+``(T, m, m)`` stack of ``Symbol.folded_kernel`` arrays, in one
+``np.matmul``. A batched product of ``(T, m, m)`` by ``(T, m, 1)`` sums
+each row's terms as the single matrix-vector product does, so row r gets
+the bits of ``belief_update`` with row r's symbol; ``tests/test_joint.py``
+pins this against the per-row path.
 """
 
 from __future__ import annotations
@@ -50,7 +58,7 @@ import os
 import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -198,16 +206,14 @@ def _forward_step(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """The function v -> t @ (mask * v), in the cheapest form that gives
     its bits (see the module docstring); ``reveals_all`` says that ``mask``
-    is all ones.
+    is all ones, and a dense ``t`` comes with the mask already folded in.
 
     Each form takes v as ``mask * v`` would: a dense product gets it
     contiguous, since numpy sums a matrix-vector product over a reversed or
     broadcast view in another order, and the gathers get it as float64.
     """
     if not isinstance(t, PermutationMixture):
-        kernel = t if reveals_all else t * mask
-        kernel.setflags(write=False)
-        return partial(_dense_step, kernel)
+        return partial(_dense_step, t)
     if reveals_all:
         return partial(_gather_step, t)
     (w, src), *rest = t._terms
@@ -241,6 +247,12 @@ class Symbol:
     product, the mask product alone for the identity gather, and otherwise
     T @ (z * v). As z holds only 0 and 1, each gives the bits of
     T @ (z * v).
+
+    A dense kernel's folded form T·diag(z) is ``folded_kernel``, read-only,
+    so that a caller can stack the kernels of many symbols for
+    ``belief_update_stack`` without folding them again; it is None for a
+    ``PermutationMixture``. A symbol given ``all_states(m)`` itself takes a
+    shared read-only all-ones mask without scanning the set again.
     """
 
     name: str
@@ -248,6 +260,7 @@ class Symbol:
     reveal: frozenset[int]  # nonempty, inside range(m)
     # 0/1 diagonal of the reveal matrix.
     mask: np.ndarray = field(init=False, repr=False, compare=False)
+    folded_kernel: np.ndarray | None = field(init=False, repr=False, compare=False)
     _step: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -261,27 +274,36 @@ class Symbol:
             object.__setattr__(self, "transition", t)
         if not _NAME_RE.match(self.name):
             raise ValueError(f"symbol name {self.name!r} must match {_NAME_RE.pattern}")
-        reveal = self.reveal
-        # A frozenset of ints is kept as given; checking the element types
-        # costs about a quarter of rebuilding the set.
-        if type(reveal) is not frozenset or not set(map(type, reveal)) <= {int}:
-            reveal = frozenset(int(q) for q in reveal)
-            object.__setattr__(self, "reveal", reveal)
         m = t.shape[0]
-        if not reveal:
-            raise ValueError(f"symbol {self.name!r}: reveal set is empty")
-        if min(reveal) < 0 or max(reveal) >= m:
-            far = min(reveal) if min(reveal) < 0 else max(reveal)
-            raise ValueError(f"symbol {self.name!r}: reveals state {far}, outside range({m})")
+        reveal = self.reveal
+        everything, ones = _full_reveal(m)
+        if reveal is everything:  # built here from range(m): nothing to scan
+            mask = ones
+        else:
+            # A frozenset of ints is kept as given; checking the element
+            # types costs about a quarter of rebuilding the set.
+            if type(reveal) is not frozenset or not set(map(type, reveal)) <= {int}:
+                reveal = frozenset(int(q) for q in reveal)
+                object.__setattr__(self, "reveal", reveal)
+            if not reveal:
+                raise ValueError(f"symbol {self.name!r}: reveal set is empty")
+            if min(reveal) < 0 or max(reveal) >= m:
+                far = min(reveal) if min(reveal) < 0 else max(reveal)
+                raise ValueError(f"symbol {self.name!r}: reveals state {far}, outside range({m})")
+            mask = np.zeros(m)
+            mask[np.fromiter(reveal, np.intp, len(reveal))] = 1.0
+            mask.setflags(write=False)
+        reveals_all = len(reveal) == m
+        folded = None
         if isinstance(t, np.ndarray):
             bad = _simplex_error(t, "transition matrix")
             if bad:
                 raise ValueError(f"symbol {self.name!r}: {bad}")
-        mask = np.zeros(m)
-        mask[np.fromiter(reveal, np.intp, len(reveal))] = 1.0
-        mask.setflags(write=False)
+            folded = t if reveals_all else t * mask
+            folded.setflags(write=False)
         object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "_step", _forward_step(t, mask, len(reveal) == m))
+        object.__setattr__(self, "folded_kernel", folded)
+        object.__setattr__(self, "_step", _forward_step(t if folded is None else folded, mask, reveals_all))
 
     @property
     def m(self) -> int:
@@ -346,6 +368,21 @@ class Pfsa:
         raise KeyError(name)
 
 
+@lru_cache(maxsize=None)
+def _full_reveal(m: int) -> tuple[frozenset[int], np.ndarray]:
+    """Every state of range(m), as a reveal set and as its read-only
+    all-ones mask, built once per m."""
+    ones = np.ones(m)
+    ones.setflags(write=False)
+    return frozenset(range(m)), ones
+
+
+def all_states(m: int) -> frozenset[int]:
+    """The reveal set of every state of range(m), shared per m: a symbol
+    that reveals it skips the scans a reveal set is otherwise checked with."""
+    return _full_reveal(m)[0]
+
+
 def reveal_only(m: int, subset, name: str = "reveal") -> Symbol:
     """A symbol that prunes the belief to ``subset`` without moving state."""
     return Symbol(name, np.eye(m), subset)
@@ -356,7 +393,7 @@ def transition_only(m: int, transition, name: str = "step") -> Symbol:
     t = np.asarray(transition, dtype=float)
     if t.shape != (m, m):
         raise ValueError(f"expected a {m}x{m} matrix, got {t.shape}")
-    return Symbol(name, t, frozenset(range(m)))
+    return Symbol(name, t, all_states(m))
 
 
 def one_hot(m: int, q: int) -> np.ndarray:
@@ -381,6 +418,23 @@ def belief_update(a: Pfsa, b: np.ndarray, symbol: int) -> np.ndarray:
             f"symbol {a.symbols[symbol].name!r} has zero belief mass"
         )
     v /= mass
+    return v
+
+
+def belief_update_stack(kernels: np.ndarray, beliefs: np.ndarray) -> np.ndarray:
+    """``belief_update`` of T beliefs at once, each through its own dense
+    kernel: row r of the result is f(kernels[r] @ beliefs[r]) for a
+    ``(T, m, m)`` stack of folded kernels (``Symbol.folded_kernel``) and a
+    ``(T, m)`` stack of beliefs, with the bits of ``belief_update`` row by
+    row (see the module docstring). Raises InconsistentObservationError,
+    naming the first such row, when a row keeps zero mass.
+    """
+    v = np.matmul(kernels, np.ascontiguousarray(beliefs, dtype=float)[..., None])[..., 0]
+    mass = np.add.reduce(v, axis=-1)
+    empty = mass <= 0.0
+    if empty.any():
+        raise InconsistentObservationError(f"row {int(empty.argmax())} has zero belief mass")
+    v /= mass[:, None]
     return v
 
 
@@ -476,7 +530,7 @@ def random_automaton(m: int, n_symbols: int, rng: np.random.Generator) -> Pfsa:
         t = rng.random((m, m)) + 1e-3
         t /= t.sum(axis=0, keepdims=True)
         if k == 0:
-            subset = frozenset(range(m))
+            subset = all_states(m)
         else:
             keep = rng.random(m) < 0.5
             if not keep.any():

@@ -29,8 +29,9 @@ from . import marginal as mg
 from . import scenarios as sc
 from . import trace as tr
 from .automaton import (
-    belief_trajectory,
+    Pfsa,
     belief_update,
+    belief_update_stack,
     joint_discretization_count,
     marginal_discretization_count,
     one_hot,
@@ -144,36 +145,40 @@ def check_hidden_swap_belief() -> CheckResult:
     )
 
 
+# C05 draws and steps its runs in blocks of at most _ORACLE_BLOCK runs, and
+# of fewer when their symbols and dense kernels, 8 bytes a step and about
+# 3 * 8 * m**2 bytes a run, would pass _ORACLE_BLOCK_BYTES, so that its
+# memory grows with neither the run count nor the step count.
+_ORACLE_BLOCK = 256
+_ORACLE_BLOCK_BYTES = 2**24
+
+
 def check_oracle_equivalence(*, runs: int, max_m: int, steps: int, seed: int) -> CheckResult:
+    """Random automata: at every step the joint tracker decodes to the
+    exact filter's belief, and its carried mass telescopes to the product
+    of the reveal survivals. Each run is drawn as it would be alone; the
+    runs of one state count in a block then step as one stack (see
+    ``_oracle_group``)."""
     rng = np.random.default_rng(seed)
+    block = max(1, min(_ORACLE_BLOCK, _ORACLE_BLOCK_BYTES // (8 * (steps + 3 * max_m**2))))
     decode_error = 0.0
     telescope_error = 0.0
     log_mass_error = 0.0
-    for _ in range(runs):
-        m = int(rng.integers(2, max_m + 1))
-        a = random_automaton(m, int(rng.integers(2, 4)), rng)
-        symbols = sample_trajectory(a, steps, rng).symbols
-        exact = belief_trajectory(a, symbols)
-        state = jt.joint_init(one_hot(a.m, a.q0))
-        hs, masses = [state.h], [state.mass]
-        for s in symbols:
-            state = jt.joint_step(state, a, s)
-            hs.append(state.h)
-            masses.append(state.mass)
-        # Row t is joint_decode after t steps: the same exactly rounded
-        # division, by the same carried mass.
-        beliefs = np.array(hs) / np.array(masses)[:, None]
-        masks = np.array([sym.mask for sym in a.symbols])
-        survivals = (masks[list(symbols)] * beliefs[:-1]).sum(axis=1)
-        log_product = 0.0
-        for survival in survivals.tolist():
-            log_product += math.log(survival)
-        decode_error = np.maximum(decode_error, np.abs(beliefs[1:] - exact[1:]).max(initial=0.0))
-        # Compared in the state's own power-of-two scale: past float64's
-        # range both the mass and the product underflow to 0.
-        product = math.exp(log_product - state.exponent * math.log(2))
-        telescope_error = np.maximum(telescope_error, abs(state.mass - product) / product)
-        log_mass_error = np.maximum(log_mass_error, abs(state.log_mass - log_product))
+    for first in range(0, runs, block):
+        drawn = []
+        for _ in range(min(block, runs - first)):
+            m = int(rng.integers(2, max_m + 1))
+            a = random_automaton(m, int(rng.integers(2, 4)), rng)
+            drawn.append((a, np.array(sample_trajectory(a, steps, rng).symbols, dtype=np.intp)))
+        for m in sorted({a.m for a, _ in drawn}):
+            group_error, ends = _oracle_group([run for run in drawn if run[0].m == m])
+            decode_error = np.maximum(decode_error, group_error)
+            for mass, exponent, log_product in ends:
+                # Compared in the state's own power-of-two scale: past
+                # float64's range both the mass and the product underflow to 0.
+                product = math.exp(log_product - exponent * math.log(2))
+                telescope_error = np.maximum(telescope_error, abs(mass - product) / product)
+                log_mass_error = np.maximum(log_mass_error, abs(jt.log_mass(mass, exponent) - log_product))
     return CheckResult(
         "joint-oracle-equivalence",
         f"{runs} runs of {steps} steps: decode err {decode_error:.2e}, "
@@ -185,6 +190,48 @@ def check_oracle_equivalence(*, runs: int, max_m: int, steps: int, seed: int) ->
         },
         (("decode_error", "<=", 1e-9), ("telescope_error", "<=", 1e-9), ("log_mass_error", "<=", 1e-9)),
     )
+
+
+def _oracle_group(runs: list[tuple[Pfsa, np.ndarray]]) -> tuple[float, list[tuple[float, int, float]]]:
+    """C05 on runs of one state count, stepped as one stack: the largest
+    gap between the joint decode and the exact filter, and per run its
+    final mass and exponent and the sum of its log survivals.
+
+    Step t picks each run's folded kernel (``Symbol.folded_kernel``) for
+    its t-th symbol, and ``joint_step_stack`` and ``belief_update_stack``
+    give each run the bits of its own ``joint_step`` and ``belief_update``.
+    The decodes ``h / mass`` are the exactly rounded divisions of
+    ``joint_decode``, a survival is the row sum of a mask times a belief,
+    and each run adds its log survivals with ``math.log`` in step order.
+    """
+    rows = np.arange(len(runs))
+    m = runs[0][0].m
+    # Every run's kernels and masks, padded to the widest alphabet; a run
+    # only ever picks its own symbols.
+    width = max(len(a.symbols) for a, _ in runs)
+    kernels = np.zeros((len(runs), width, m, m))
+    masks = np.zeros((len(runs), width, m))
+    for r, (a, _) in enumerate(runs):
+        for k, symbol in enumerate(a.symbols):
+            kernels[r, k] = symbol.folded_kernel
+            masks[r, k] = symbol.mask
+    symbols = np.array([symbols for _, symbols in runs])
+    # joint_init of a one-hot belief: mass 1, so it decodes to itself.
+    h = np.zeros((len(runs), m))
+    h[rows, [a.q0 for a, _ in runs]] = 1.0
+    mass, exponent = np.ones(len(runs)), np.zeros(len(runs), dtype=np.int64)
+    exact = belief = h
+    log_products = [0.0] * len(runs)
+    decode_error = 0.0
+    for picked in symbols.T:
+        step = kernels[rows, picked]
+        survivals = np.add.reduce(masks[rows, picked] * belief, axis=1)
+        log_products = [x + math.log(s) for x, s in zip(log_products, survivals.tolist())]
+        h, mass, exponent = jt.joint_step_stack(h, exponent, step)
+        exact = belief_update_stack(step, exact)
+        belief = h / mass[:, None]
+        decode_error = np.maximum(decode_error, np.abs(belief - exact).max(initial=0.0))
+    return decode_error, list(zip(mass.tolist(), exponent.tolist(), log_products))
 
 
 def _random_mixture(rng: np.random.Generator, group, max_k: int) -> Mixture:

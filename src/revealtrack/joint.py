@@ -14,6 +14,12 @@ never gets that low keeps the unscaled bits, and ``log_mass``, the natural
 log of the mass the state carries, read from h's sum and the exponent,
 stays finite after h alone would underflow.
 
+``joint_step_stack`` is the stacked form of ``joint_step`` for dense
+kernels: T messages, each with its own exponent, step at once through a
+``(T, m, m)`` stack of folded kernels (``Symbol.folded_kernel``) in one
+``np.matmul``, which gives each row the bits of its own ``joint_step``.
+Both rescale by the one rule of ``_rescale``.
+
 Arrangement automata: the states are the n! ways to place n distinct
 elements on n positions, encoded as permutations c with
 ``c(element) = position`` and indexed lexicographically by one-line
@@ -40,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .automaton import PermutationMixture, Pfsa, Symbol
+from .automaton import PermutationMixture, Pfsa, Symbol, all_states
 from .perm import Mixture, Permutation, lex_indices, one_line_table
 
 
@@ -84,7 +90,7 @@ class JointLinearState:
     @property
     def log_mass(self) -> float:
         """The natural log of the carried mass ``ldexp(mass, exponent)``."""
-        return math.log(self.mass) + self.exponent * math.log(2) if self.mass > 0 else -math.inf
+        return log_mass(self.mass, self.exponent)
 
     @classmethod
     def _adopt(cls, h: np.ndarray, mass: float, exponent: int) -> JointLinearState:
@@ -94,6 +100,25 @@ class JointLinearState:
         state = object.__new__(cls)
         state.__dict__.update(h=h, exponent=exponent, mass=mass)
         return state
+
+
+def log_mass(mass: float, exponent: int) -> float:
+    """The natural log of ``ldexp(mass, exponent)`` for a state's ``mass``
+    and ``exponent``, read without forming the product: -inf at zero mass."""
+    return math.log(mass) + exponent * math.log(2) if mass > 0 else -math.inf
+
+
+def _rescale(h: np.ndarray, mass: np.ndarray, exponent: np.ndarray) -> None:
+    """The rescale rule, in place on a ``(T, m)`` stack of messages with
+    their row masses and int exponents: each row whose mass lies in
+    (0, 2**-512) is scaled into mass [1/2, 1) by the power of two that
+    ``frexp`` reads off its mass, and its exponent takes the power back.
+    Scaling by a power of two rounds nothing."""
+    low = np.flatnonzero((mass > 0.0) & (mass < _RESCALE_BELOW))
+    if len(low):
+        mass[low], shift = np.frexp(mass[low])
+        h[low] = np.ldexp(h[low], -shift[:, None])
+        exponent[low] += shift
 
 
 def joint_init(b0: np.ndarray) -> JointLinearState:
@@ -112,11 +137,29 @@ def joint_step(state: JointLinearState, a: Pfsa, symbol: int) -> JointLinearStat
     h = a.symbols[symbol].apply(state.h)
     mass = float(np.add.reduce(h))
     exponent = state.exponent
-    if 0 < mass < _RESCALE_BELOW:
-        mass, shift = math.frexp(mass)
-        np.ldexp(h, -shift, out=h)
-        exponent += shift
+    if mass < _RESCALE_BELOW:  # rare: _rescale, as a stack of one, keeps a zero mass as it is
+        masses, exponents = np.array([mass]), np.array([exponent])
+        _rescale(h[None], masses, exponents)
+        mass, exponent = float(masses[0]), int(exponents[0])
     return JointLinearState._adopt(h, mass, exponent)
+
+
+def joint_step_stack(
+    h: np.ndarray, exponent: np.ndarray, kernels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``joint_step`` of T messages at once, each through its own dense
+    kernel: row r steps ``h[r] * 2**exponent[r]`` through ``kernels[r]``,
+    a folded kernel (``Symbol.folded_kernel``) of a ``(T, m, m)`` stack.
+
+    Returns the new ``(T, m)`` messages, their ``(T,)`` masses and int
+    exponents, fresh arrays with the bits of ``joint_step`` row by row; a
+    row may hold the zero vector. The inputs are not modified.
+    """
+    h = np.matmul(kernels, np.ascontiguousarray(h, dtype=float)[..., None])[..., 0]
+    mass = np.add.reduce(h, axis=-1)
+    exponent = np.array(exponent, dtype=np.int64)
+    _rescale(h, mass, exponent)
+    return h, mass, exponent
 
 
 def joint_decode(state: JointLinearState) -> np.ndarray:
@@ -157,7 +200,7 @@ def mixture_symbol(
     sources = np.array([_gather(action, g.mapping) for g, _ in mixture.components])
     sources.setflags(write=False)
     kernel = PermutationMixture._adopt(sources, mixture.weights)
-    return Symbol(name, kernel, _all_states(math.factorial(n)))
+    return Symbol(name, kernel, all_states(math.factorial(n)))
 
 
 # Holds every element of S_2..S_4 under both actions; at n = 8 a full cache
@@ -168,11 +211,6 @@ def _gather(action: str, mapping: tuple[int, ...]) -> np.ndarray:
     sources = lex_indices(_PULLBACKS[action](one_line_table(len(mapping)), np.argsort(mapping)))
     sources.setflags(write=False)
     return sources
-
-
-@lru_cache(maxsize=None)
-def _all_states(m: int) -> frozenset[int]:
-    return frozenset(range(m))
 
 
 @lru_cache(maxsize=None)

@@ -172,6 +172,11 @@ def var_name(index: int) -> str:
 # beyond _CACHE_SIZE entries, which hold all of S_7, so long runs at large n
 # keep their memory flat.
 _CACHE_SIZE = 8192
+# A value of more digits than this is one ``parse`` read, never one that
+# ``generate`` writes: its init or reveal event is built outside the caches
+# and takes the parsed lines, so its digits are held once, in the line that
+# is also the parse memo's key.
+_SHARED_DIGITS = 20
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -399,7 +404,9 @@ def parse(text: str) -> Trace:
     distinct line is read once per process, through one memo keyed by the
     line, the variable count and whether a print is open, bounded at
     ``_CACHE_SIZE`` entries. The memo keeps where a value's digits start,
-    not a copy of them, and the value is converted on every read.
+    not a copy of them, and the value is converted on every read. An init
+    or reveal of more than ``_SHARED_DIGITS`` digits gets an event of its
+    own, equal to the cached one, that holds the parsed line itself.
     """
     lines = text.splitlines()
     events: list[TraceEvent] = []
@@ -437,7 +444,11 @@ def parse(text: str) -> Trace:
                         f"output line names {what!r} but print revealed {pending_print!r}",
                         lineno,
                     )
-                events.append(_reveal(names.index(what), value))
+                var = names.index(what)
+                if len(line) - detail > _SHARED_DIGITS:  # the print line, then this one
+                    events.append(TraceEvent("reveal", (lines[lineno - 2], line), var=var, value=value))
+                else:
+                    events.append(_reveal(var, value))
                 spans.append((start + detail, start + len(line)))
                 gap, commands_at_reveal = n_commands - commands_at_reveal, n_commands
                 if spacing is None:
@@ -455,7 +466,10 @@ def parse(text: str) -> Trace:
                 # n_vars < 26 here: after z, every name was initialized.
                 if what != _NAMES[n_vars]:
                     raise TraceParseError(f"out-of-order variable {what!r}", lineno)
-                events.append(_init(n_vars, value))
+                if len(line) - detail > _SHARED_DIGITS:
+                    events.append(TraceEvent("init", (line,), var=n_vars, value=value))
+                else:
+                    events.append(_init(n_vars, value))
                 names += what
                 n_vars += 1
                 state.append(value)

@@ -15,6 +15,7 @@ from revealtrack.automaton import (
     PermutationMixture,
     Pfsa,
     Symbol,
+    all_states,
     belief_trajectory,
     belief_update,
     joint_discretization_count,
@@ -229,6 +230,25 @@ def test_symbol_keeps_a_frozenset_of_ints():
         assert all(type(q) is int for q in built.reveal)
         assert built == kept and hash(built) == hash(kept)
         np.testing.assert_array_equal(built.mask, kept.mask)
+
+
+def test_symbol_folds_its_kernel_and_shares_the_mask_of_every_state():
+    everything = all_states(3)
+    assert everything == frozenset(range(3)) and all_states(3) is everything
+    t = np.array([[0.5, 0.0, 0.25], [0.5, 0.5, 0.25], [0.0, 0.5, 0.5]])
+    full = Symbol("full", t, everything)
+    assert full.mask is Symbol("eye", np.eye(3), everything).mask
+    assert not full.mask.flags.writeable and full.mask.tolist() == [1.0, 1.0, 1.0]
+    assert full.folded_kernel is full.transition
+    # An equal set that is not the shared one is scanned and gets its own mask.
+    again = Symbol("again", t, frozenset(range(3)))
+    assert again.mask is not full.mask and again.mask.tolist() == [1.0, 1.0, 1.0] and again == Symbol("again", t, everything)
+    pruned = Symbol("pruned", t, frozenset({0, 2}))
+    assert pruned.folded_kernel.tobytes() == (t * pruned.mask).tobytes()
+    assert not pruned.folded_kernel.flags.writeable
+    assert Symbol("mix", PermutationMixture([[1, 2, 0]], [1.0]), everything).folded_kernel is None
+    with pytest.raises(ValueError, match=r"reveals state 2, outside range\(2\)"):
+        Symbol("small", np.eye(2), everything)
 
 
 def _apply_cases(rng, m):

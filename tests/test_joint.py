@@ -2,16 +2,19 @@ from __future__ import annotations
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from revealtrack.automaton import (
+    InconsistentObservationError,
     PermutationMixture,
     Pfsa,
     Symbol,
     belief_trajectory,
     belief_update,
+    belief_update_stack,
     one_hot,
     random_automaton,
     reveal_only,
@@ -27,6 +30,7 @@ from revealtrack.joint import (
     joint_decode,
     joint_init,
     joint_step,
+    joint_step_stack,
     mixture_symbol,
     placement_reveal_symbol,
     _gather,
@@ -175,7 +179,8 @@ def per_step_oracle_measurements(runs, max_m, steps, seed):
             state = joint_step(state, a, s)
             belief = joint_decode(state)
             decode_error = np.maximum(decode_error, np.abs(belief - exact[t]).max())
-        product = math.exp(log_product)
+        # In the state's own power-of-two scale, as the check compares.
+        product = math.exp(log_product - state.exponent * math.log(2))
         telescope_error = np.maximum(telescope_error, abs(state.mass - product) / product)
         log_mass_error = np.maximum(log_mass_error, abs(state.log_mass - log_product))
     return {"decode_error": decode_error, "telescope_error": telescope_error, "log_mass_error": log_mass_error}
@@ -193,6 +198,94 @@ def test_oracle_check_folds_the_same_bits_as_a_per_step_loop(max_m):
 
 def test_oracle_check_passes_once_the_mass_underflows_float64():
     assert check_oracle_equivalence(runs=20, max_m=5, steps=3000, seed=20260810).passed
+
+
+@pytest.mark.parametrize(
+    "runs, max_m, steps, seed",
+    [(20, 5, 3000, 20260810), (300, 8, 40, 1)],
+    ids=["underflow", "past-one-block"],
+)
+def test_oracle_check_folds_the_same_bits_past_float64_and_across_blocks(runs, max_m, steps, seed):
+    # The stacked check against the per-step loop where masses rescale and
+    # differ in exponent between runs, and where runs fill more than one block.
+    measured = check_oracle_equivalence(runs=runs, max_m=max_m, steps=steps, seed=seed).measured
+    for key, value in per_step_oracle_measurements(runs, max_m, steps, seed).items():
+        assert measured[key] == value, key
+
+
+def test_oracle_check_memory_does_not_grow_with_the_runs():
+    # The check holds one block of at most 256 drawn runs at a time.
+    def peak(runs):
+        tracemalloc.start()
+        try:
+            check_oracle_equivalence(runs=runs, max_m=5, steps=10, seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    check_oracle_equivalence(runs=1, max_m=5, steps=1, seed=3)  # module-level caches fill here
+    assert peak(1024) < 1.5 * peak(256)
+
+
+def _stacked_run(m, rows, steps, seed):
+    """``rows`` random automata over m states, each with a trajectory of
+    ``steps`` symbols, and per row the folded kernel of each symbol."""
+    rng = np.random.default_rng(seed)
+    automata = [random_automaton(m, int(rng.integers(2, 4)), rng) for _ in range(rows)]
+    symbols = np.array([sample_trajectory(a, steps, rng).symbols for a in automata])
+    kernels = [np.array([s.folded_kernel for s in a.symbols]) for a in automata]
+    return automata, symbols, kernels
+
+
+@pytest.mark.parametrize("rows", (1, 64))
+@pytest.mark.parametrize("m", (2, 5, 8))
+def test_stacked_steps_give_the_bits_of_per_row_steps(m, rows):
+    automata, symbols, kernels = _stacked_run(m, rows, 2500, seed=200 + m)
+    states = [joint_init(one_hot(m, a.q0)) for a in automata]
+    beliefs = [state.h for state in states]
+    h, exponent = np.array(beliefs), np.zeros(rows, dtype=np.int64)
+    exact = h
+    for t in range(symbols.shape[1]):
+        stack = np.array([kernels[r][symbols[r, t]] for r in range(rows)])
+        h, mass, exponent = joint_step_stack(h, exponent, stack)
+        exact = belief_update_stack(stack, exact)
+        for r, a in enumerate(automata):
+            states[r] = joint_step(states[r], a, symbols[r, t])
+            beliefs[r] = belief_update(a, beliefs[r], symbols[r, t])
+        assert h.tobytes() == np.array([state.h for state in states]).tobytes(), t
+        assert mass.tolist() == [state.mass for state in states], t
+        assert exponent.tolist() == [state.exponent for state in states], t
+        assert exact.tobytes() == np.array(beliefs).tobytes(), t
+    # Rows rescaled (at these seeds, the lone row too), and not in step.
+    assert exponent.min() < 0
+    assert rows == 1 or len(set(exponent.tolist())) > 1
+
+
+def test_stacked_joint_step_carries_a_zero_mass_row():
+    automata, symbols, kernels = _stacked_run(4, 3, 1, seed=5)
+    pin = reveal_only(4, {0})  # prunes a state that has left 0 to the zero vector
+    stack = np.array([kernels[0][symbols[0, 0]], pin.folded_kernel, kernels[2][symbols[2, 0]]])
+    h0 = np.array([one_hot(4, automata[0].q0), one_hot(4, 3), np.zeros(4)])
+    h, mass, exponent = joint_step_stack(h0, np.array([0, -600, 0]), stack)
+    expected = [
+        joint_step(joint_init(h0[0]), automata[0], symbols[0, 0]),
+        joint_step(JointLinearState(h0[1], -600), Pfsa((pin,), 0), 0),
+        joint_step(joint_init(h0[2]), automata[2], symbols[2, 0]),
+    ]
+    assert h.tobytes() == np.array([state.h for state in expected]).tobytes()
+    assert mass.tolist() == [expected[0].mass, 0.0, 0.0]
+    assert exponent.tolist() == [state.exponent for state in expected] == [0, -600, 0]
+    assert h0.tolist()[1:] == [[0.0, 0.0, 0.0, 1.0], [0.0] * 4]  # the inputs are left as they were
+
+
+def test_stacked_filter_names_a_zero_mass_row():
+    pin = reveal_only(4, {0})
+    stack = np.array([np.eye(4), np.eye(4), pin.folded_kernel])
+    beliefs = np.array([one_hot(4, 1), one_hot(4, 2), one_hot(4, 3)])
+    with pytest.raises(InconsistentObservationError, match="row 2 has zero belief mass"):
+        belief_update_stack(stack, beliefs)
+    with pytest.raises(InconsistentObservationError):
+        belief_update(Pfsa((pin,), 0), beliefs[2], 0)
 
 
 def test_joint_init_restarts_from_a_prior():

@@ -720,6 +720,36 @@ def test_parse_memo_keeps_no_copy_of_the_digits():
     assert parse(text).final_state == (2, int(digits))
 
 
+def test_parsed_long_values_stay_out_of_the_event_caches():
+    # A long init or output value's event takes the parsed line, which is
+    # also the memo's key, so the init and reveal caches keep no copy.
+    texts = [
+        f">>> a = {digits}\n>>> b = 2\n>>> a, b = b, a\n>>> print('b', b)\nb {digits}\n"
+        for digits in (str(k) * 4000 for k in range(1, 10))
+    ]
+    for cache in (trace_module._parse_line, trace_module._init, trace_module._reveal):
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        for text in texts:
+            parse(text)
+        before = tracemalloc.get_traced_memory()[0]
+        trace_module._init.cache_clear()
+        trace_module._reveal.cache_clear()
+        freed = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert freed < 4000  # a rendered copy of each value would free 8 kB per text
+    parsed = parse(texts[0])
+    digits = "1" * 4000
+    assert parsed.events[0] == TraceEvent("init", (f">>> a = {digits}",), var=0, value=int(digits))
+    assert parsed.events[-1] == TraceEvent(
+        "reveal", (">>> print('b', b)", f"b {digits}"), var=1, value=int(digits)
+    )
+    assert parsed.events[1] is trace_module._init(1, 2)
+    assert render(parsed) == texts[0]
+
+
 LONG = "7" * 5000  # past the default limit of 4300 digits
 
 
