@@ -47,7 +47,11 @@ kernels: it steps T beliefs at once, each through its own kernel from a
 ``np.matmul``. A batched product of ``(T, m, m)`` by ``(T, m, 1)`` sums
 each row's terms as the single matrix-vector product does, so row r gets
 the bits of ``belief_update`` with row r's symbol; ``tests/test_joint.py``
-pins this against the per-row path.
+pins this against the per-row path. ``gather_stack`` is the stacked form of
+a ``PermutationMixture`` product: one gather per component for T rows,
+each with its own kernel, padded to the most components with identity
+gathers at weight 0; ``tests/test_marginal.py`` pins it against
+``PermutationMixture.__matmul__`` row by row.
 """
 
 from __future__ import annotations
@@ -199,6 +203,36 @@ class PermutationMixture:
 
     def __repr__(self) -> str:
         return f"PermutationMixture(k={len(self.weights)}, m={self.shape[0]})"
+
+
+def gather_stack(kernels, v: np.ndarray) -> np.ndarray:
+    """``kernels[r] @ v[r]`` for T ``PermutationMixture`` kernels over one
+    state count and a ``(T, m)`` stack ``v``, as one gather of every
+    component at once. A kernel with fewer components than the most is
+    padded with the identity gather at weight 0; row r then sums its terms
+    in component order, as ``PermutationMixture.__matmul__`` does, and has
+    its bits whenever v is finite with no negative zero (a padded term
+    adds a zero). Returns a fresh stack; raises ValueError unless every
+    kernel acts on the m states of one row of ``v``.
+    """
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 2 or len(kernels) != len(v):
+        raise ValueError(f"{len(kernels)} kernels for a stack of shape {v.shape}")
+    rows, m = v.shape
+    if any(t.shape[0] != m for t in kernels):
+        raise ValueError(f"a kernel does not act on the stack's {m} states")
+    k = max((len(t.weights) for t in kernels), default=1)
+    sources = np.empty((rows, k, m), dtype=np.intp)
+    sources[:] = np.arange(m)
+    weights = np.zeros((rows, k))
+    for r, t in enumerate(kernels):
+        sources[r, : len(t.weights)] = t.sources
+        weights[r, : len(t.weights)] = t.weights
+    gathered = v[np.arange(rows)[:, None, None], sources]
+    out = weights[:, 0, None] * gathered[:, 0]
+    for g in range(1, k):
+        out += weights[:, g, None] * gathered[:, g]
+    return out
 
 
 def _forward_step(
@@ -466,18 +500,6 @@ def _column_cdf(a: Pfsa, symbol: int, state: int) -> tuple[list[int], list[float
     return support.tolist(), np.cumsum(col[support]).tolist()
 
 
-def _draw_next(support: list[int], cdf: list[float], rng: np.random.Generator) -> int:
-    """The state of ``support`` that a uniform draw lands on.
-
-    ``bisect_right`` makes the comparisons of ``np.searchsorted(...,
-    side="right")`` on the same float64 values. A column may sum to
-    slightly less than 1, so a draw can land past its total; it then goes
-    to the last state of nonzero probability.
-    """
-    k = bisect.bisect_right(cdf, rng.random())
-    return support[min(k, len(support) - 1)]
-
-
 @dataclass(frozen=True)
 class Trajectory:
     states: tuple[int, ...]   # q_0 .. q_T
@@ -499,17 +521,24 @@ def sample_trajectory(a: Pfsa, steps: int, rng: np.random.Generator) -> Trajecto
     # each (symbol, state) column's support and running sums.
     options_at: dict[int, list[int]] = {}
     columns: dict[tuple[int, int], tuple[list[int], list[float]]] = {}
+    integers, uniform, bisect_right = rng.integers, rng.random, bisect.bisect_right
     for t in range(steps):
         options = options_at.get(q)
         if options is None:
             options = options_at[q] = [i for i, s in enumerate(a.symbols) if q in s.reveal]
         if not options:
             raise DeadEndError(f"state {q} at step {t} admits no consistent symbol")
-        s = options[rng.integers(len(options))]
+        s = options[integers(len(options))]
         column = columns.get((s, q))
         if column is None:
             column = columns[s, q] = _column_cdf(a, s, q)
-        q = _draw_next(*column, rng)
+        # The next state is the one of the column's support that a uniform
+        # draw lands on: ``bisect_right`` makes the comparisons of
+        # ``np.searchsorted(..., side="right")`` on the same float64 values.
+        # A column may sum to slightly less than 1, so a draw can land past
+        # its total; it then goes to the last state of nonzero probability.
+        support, cdf = column
+        q = support[min(bisect_right(cdf, uniform()), len(support) - 1)]
         chosen.append(s)
         states.append(q)
     return Trajectory(tuple(states), tuple(chosen))

@@ -12,6 +12,12 @@ command prints one line per check and exits nonzero if any fails.
 
 Worst-case errors are folded with ``np.maximum``, which keeps a NaN that
 the builtin ``max`` would drop.
+
+The checks that draw many runs, C05, C06 and C08, draw each run as it
+would be drawn alone, in blocks of bounded memory, then step the runs of
+one state count in a block as one stack through the library's stacked
+steps, each row with the bits of its per-row step; a maximum is exact,
+so the folded errors have the bits of a per-run loop.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from .automaton import (
     Pfsa,
     belief_update,
     belief_update_stack,
+    gather_stack,
     joint_discretization_count,
     marginal_discretization_count,
     one_hot,
@@ -145,12 +152,16 @@ def check_hidden_swap_belief() -> CheckResult:
     )
 
 
-# C05 draws and steps its runs in blocks of at most _ORACLE_BLOCK runs, and
-# of fewer when their symbols and dense kernels, 8 bytes a step and about
-# 3 * 8 * m**2 bytes a run, would pass _ORACLE_BLOCK_BYTES, so that its
-# memory grows with neither the run count nor the step count.
-_ORACLE_BLOCK = 256
-_ORACLE_BLOCK_BYTES = 2**24
+# C05, C06 and C08 draw and step their runs in blocks of at most _BLOCK
+# runs, and of fewer when the arrays a block steps would pass _BLOCK_BYTES,
+# so that their memory grows with neither the run count nor the step count.
+_BLOCK = 256
+_BLOCK_BYTES = 2**24
+
+
+def _block(run_bytes: int) -> int:
+    """Runs per block when the arrays of one run take ``run_bytes``."""
+    return max(1, min(_BLOCK, _BLOCK_BYTES // run_bytes))
 
 
 def check_oracle_equivalence(*, runs: int, max_m: int, steps: int, seed: int) -> CheckResult:
@@ -160,7 +171,8 @@ def check_oracle_equivalence(*, runs: int, max_m: int, steps: int, seed: int) ->
     runs of one state count in a block then step as one stack (see
     ``_oracle_group``)."""
     rng = np.random.default_rng(seed)
-    block = max(1, min(_ORACLE_BLOCK, _ORACLE_BLOCK_BYTES // (8 * (steps + 3 * max_m**2))))
+    # Symbols take 8 bytes a step, dense kernels about 3 * 8 * m**2 a run.
+    block = _block(8 * (steps + 3 * max_m**2))
     decode_error = 0.0
     telescope_error = 0.0
     log_mass_error = 0.0
@@ -245,54 +257,57 @@ def check_marginal_bridge(*, runs: int, max_n: int, steps: int, seed: int) -> Ch
     """Mixing-only runs track the joint marginal at every step; a reveal
     zeroes only entries the conditioned joint's marginal has (near) zero,
     exhaustive over the nine reveal targets for n = 3 on the identity state
-    and 50 mixed ones."""
+    and 50 mixed ones. Each mixing run is drawn as it would be alone; the
+    runs of one n in a block then step as one stack (see ``_bridge_group``)."""
     rng = np.random.default_rng(seed)
+    # Per step, a run holds its P_s and marginal, about 2 * 8 * n**2 bytes,
+    # and its belief and that belief's collapse, about 8 * (n + 1) * n!.
+    block = _block(8 * max(steps, 1) * (2 * max_n**2 + (max_n + 1) * math.factorial(max_n)))
     mixing_error = 0.0
-    for _ in range(runs):
-        n = int(rng.integers(2, max_n + 1))
-        group = symmetric_group(n)
-        b = one_hot(len(group), 0)
-        h = mg.marginal_init(n)
-        beliefs, marginals = [], []
-        for _ in range(steps):
-            mixture = _random_mixture(rng, group, min(4, len(group)))
-            b = jt.mixture_symbol(n, mixture, action="position").apply(b)
-            h = mg.marginal_mix(h, mg.MixSpec(mixture))
-            beliefs.append(b)
-            marginals.append(h)
-        gap = np.abs(np.array(marginals) - mg.joint_to_marginal(np.array(beliefs), n)).max(initial=0.0)
-        mixing_error = np.maximum(mixing_error, gap)
+    for first in range(0, runs, block):
+        drawn = []
+        for _ in range(min(block, runs - first)):
+            n = int(rng.integers(2, max_n + 1))
+            group = symmetric_group(n)
+            drawn.append((n, [_random_mixture(rng, group, min(4, len(group))) for _ in range(steps)]))
+        for n in sorted({n for n, _ in drawn}):
+            gap = _bridge_group(n, [mixtures for size, mixtures in drawn if size == n])
+            mixing_error = np.maximum(mixing_error, gap)
 
+    # The identity state and 50 states mixed 1 to 6 times, drawn one after
+    # another, then mixed as one stack: the states still mixing at step t
+    # take their t-th kernel's gathers.
     group = symmetric_group(3)
-    prefixes = [one_hot(6, 0)]
+    mixing = [[]]
     for _ in range(50):
-        b = one_hot(6, 0)
-        for _ in range(int(rng.integers(1, 7))):
-            mixture = _random_mixture(rng, group, 3)
-            b = jt.mixture_symbol(3, mixture, action="position").apply(b)
-        prefixes.append(b)
-    targets = [
-        (mg.RevealSpec(position, element), jt.placement_reveal_symbol(3, position, element).mask)
-        for position in range(3)
-        for element in range(3)
-    ]
-    leak = 0.0
-    reveals = 0
-    for b in prefixes:
-        h = mg.joint_to_marginal(b, 3)
-        consistent, conditioned = [], []
-        for reveal, mask in targets:
-            mass = float((mask * b).sum())
-            if mass > 0.0:  # else the observation is impossible here
-                consistent.append(reveal)
-                conditioned.append(mask * b / mass)
-        # One stacked collapse gives each posterior the bits of its own
-        # call, and a maximum over all zeroed entries is the maximum of
-        # the per-reveal ones.
-        posteriors = mg.joint_to_marginal(np.array(conditioned), 3)
-        zeroed = np.array([mg.marginal_reveal(h, reveal) == 0.0 for reveal in consistent])
-        leak = np.maximum(leak, posteriors[zeroed].max())
-        reveals += len(consistent)
+        mixing.append(
+            [
+                jt.mixture_symbol(3, _random_mixture(rng, group, 3), action="position").transition
+                for _ in range(int(rng.integers(1, 7)))
+            ]
+        )
+    prefixes = np.zeros((len(mixing), 6))
+    prefixes[:, 0] = 1.0
+    for t in range(max(map(len, mixing))):
+        live = [r for r, kernels in enumerate(mixing) if len(kernels) > t]
+        prefixes[live] = gather_stack([mixing[r][t] for r in live], prefixes[live])
+    # Every prefix against every target cell: a survival is the sum of a
+    # mask times a belief, a posterior its exactly rounded quotient by that
+    # sum, and the stacked collapses and reveals give each the bits of its
+    # own call, so the maximum over all zeroed entries is the maximum of
+    # the per-reveal ones.
+    cells = np.array([(position, element) for position in range(3) for element in range(3)])
+    masks = np.array([jt.placement_reveal_symbol(3, position, element).mask for position, element in cells])
+    masked = masks * prefixes[:, None]
+    mass = np.add.reduce(masked, axis=2)
+    consistent = mass > 0.0  # else the observation is impossible there
+    prefix_rows, target_rows = np.nonzero(consistent)
+    posteriors = mg.joint_to_marginal(masked[consistent] / mass[consistent][:, None], 3)
+    revealed = mg.marginal_reveal_stack(
+        mg.joint_to_marginal(prefixes, 3)[prefix_rows], *cells[target_rows].T
+    )
+    leak = posteriors[revealed == 0.0].max(initial=0.0)
+    reveals = len(prefix_rows)
     return CheckResult(
         "marginal-joint-bridge",
         f"mixing error {mixing_error:.2e} over {runs} runs; "
@@ -300,6 +315,36 @@ def check_marginal_bridge(*, runs: int, max_n: int, steps: int, seed: int) -> Ch
         {"mixing_error": mixing_error, "support_leak": leak, "reveals": reveals},
         (("mixing_error", "<=", 1e-9), ("support_leak", "<=", 1e-12)),
     )
+
+
+def _bridge_group(n: int, runs: list[list[Mixture]]) -> float:
+    """C06's mixing half on runs of one n, stepped as one stack: the
+    largest gap, over every step of every run, between the marginal
+    tracker's state and the marginal of the joint belief.
+
+    Step t mixes each run's marginal by the P_s its ``MixSpec`` builds, in
+    ``marginal_mix_stack``, and pushes its joint belief through the gathers
+    of its ``mixture_symbol`` in ``gather_stack``, so each row has the bits
+    of ``marginal_mix`` and ``Symbol.apply``; ``joint_to_marginal``
+    collapses every belief with the bits of its own call, and a maximum is
+    exact.
+    """
+    count, steps = len(runs), len(runs[0])
+    matrices = np.array([[mg.MixSpec(mixture).matrix for mixture in mixtures] for mixtures in runs])
+    kernels = [
+        [jt.mixture_symbol(n, mixture, action="position").transition for mixture in mixtures]
+        for mixtures in runs
+    ]
+    b = np.zeros((count, math.factorial(n)))
+    b[:, 0] = 1.0
+    h = np.tile(mg.marginal_init(n), (count, 1, 1))
+    beliefs = np.empty((count, steps) + b.shape[1:])
+    marginals = np.empty((count, steps, n, n))
+    for t in range(steps):
+        b = gather_stack([step[t] for step in kernels], b)
+        h = mg.marginal_mix_stack(h, matrices[:, t])
+        beliefs[:, t], marginals[:, t] = b, h
+    return np.abs(marginals - mg.joint_to_marginal(beliefs, n)).max(initial=0.0)
 
 
 def check_sinkhorn(*, runs: int, seed: int) -> CheckResult:
@@ -324,21 +369,31 @@ def check_sinkhorn(*, runs: int, seed: int) -> CheckResult:
 
 
 def check_kronecker(*, runs: int, seed: int) -> CheckResult:
-    """The tracker's ``marginal_step``, a random mix and then a random
-    reveal, equals its one bilinear step D_l P_s H D_r + B in Kronecker
-    form; folding P_s into the left factor makes one ``kron`` per instance."""
+    """The tracker's stacked steps, a random mix and then a random reveal,
+    equal their one bilinear step D_l P_s H D_r + B in Kronecker form;
+    folding P_s into the left factor makes one Kronecker product per
+    instance. Each instance is drawn as it would be alone; those of one n in
+    a block then step as one stack, each row with the bits of its own
+    ``marginal_step`` calls and ``vectorized_step``."""
     rng = np.random.default_rng(seed)
     gap = 0.0
-    for _ in range(runs):
-        n = int(rng.integers(2, 6))
-        group = symmetric_group(n)
-        h = rng.random((n, n))
-        mix = mg.MixSpec(_random_mixture(rng, group, min(4, len(group))))
-        reveal = mg.RevealSpec(*divmod(int(rng.integers(n * n)), n))  # a uniform cell
-        tracked = mg.marginal_step(mg.marginal_step(h, mix), reveal)
-        d_l, d_r, inject = mg.reveal_operators(n, reveal)
-        vectorized = mg.vectorized_step(h, d_l @ mix.matrix, d_r, inject)
-        gap = np.maximum(gap, np.abs(tracked - vectorized).max())
+    # An instance holds at most a 25 x 25 Kronecker product, 5 kB, and its
+    # 5 x 5 factors, so a block of _BLOCK stays far below _BLOCK_BYTES.
+    for first in range(0, runs, _BLOCK):
+        drawn = []
+        for _ in range(min(_BLOCK, runs - first)):
+            n = int(rng.integers(2, 6))
+            group = symmetric_group(n)
+            h = rng.random((n, n))
+            mix = mg.MixSpec(_random_mixture(rng, group, min(4, len(group))))
+            drawn.append((h, mix.matrix, divmod(int(rng.integers(n * n)), n)))  # a uniform cell
+        for n in sorted({len(h) for h, _, _ in drawn}):
+            h, p_s, cells = map(np.array, zip(*(run for run in drawn if len(run[0]) == n)))
+            positions, elements = cells.T
+            tracked = mg.marginal_reveal_stack(mg.marginal_mix_stack(h, p_s), positions, elements)
+            d_l, d_r, inject = mg.reveal_operators_stack(n, positions, elements)
+            vectorized = mg.vectorized_step(h, np.matmul(d_l, p_s), d_r, inject)
+            gap = np.maximum(gap, np.abs(tracked - vectorized).max())
     return CheckResult(
         "kronecker-vectorization",
         f"{runs} marginal mix-then-reveal steps against their Kronecker form: max gap {gap:.2e}",

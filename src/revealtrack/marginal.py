@@ -19,7 +19,16 @@ Two linear updates move the state:
 Both updates are instances of the bilinear step A_l @ H @ A_r + B, which
 vectorizes to (A_r^T kron A_l) vec(H) + vec(B) under column-major vec;
 ``vectorized_step`` exists to check ``marginal_step`` against that form
-(check C08), not for speed.
+(check C08), not for speed. It steps a ``(T, n, n)`` stack, each row
+through its own factors, and a single matrix is its T = 1 case.
+
+``marginal_mix_stack`` and ``marginal_reveal_stack`` are the stacked forms
+of the two updates: T states, each with its own P_s or revealed cell, in
+one ``np.matmul`` or one masked copy. A batched product of ``(T, n, n)``
+stacks multiplies each pair as the single product does, so every row has
+the bits of ``marginal_mix`` or ``marginal_reveal``; ``tests/test_marginal.py``
+pins this against the per-row path. The per-row functions stay as they
+are: they are the per-step paths of the decay scenarios.
 """
 
 from __future__ import annotations
@@ -85,15 +94,56 @@ def marginal_mix(state: np.ndarray, mix: MixSpec) -> np.ndarray:
     return p_s @ state
 
 
+def marginal_mix_stack(states: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """``marginal_mix`` of T states at once: row r is
+    ``matrices[r] @ states[r]`` for a ``(T, n, n)`` stack of ``MixSpec.matrix``
+    arrays and a ``(T, n, n)`` stack of states, in one ``np.matmul``, with
+    the bits of ``marginal_mix`` row by row. Returns a fresh stack; raises
+    ValueError unless both are stacks of one shape of square matrices."""
+    states = np.asarray(states, dtype=float)
+    matrices = np.asarray(matrices, dtype=float)
+    if states.ndim != 3 or states.shape[1] != states.shape[2] or matrices.shape != states.shape:
+        raise ValueError(f"state stack {states.shape} under mixture stack {matrices.shape}")
+    return np.matmul(matrices, states)
+
+
+def _reveal_cells(n: int, positions, elements, count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Revealed cells as two intp arrays; raises ValueError unless both
+    are integer vectors of one length (``count``, when given), naming the
+    first cell outside range(n)."""
+    positions, elements = np.asarray(positions), np.asarray(elements)
+    rows = positions.size if count is None else count
+    for x in (positions, elements):
+        if x.shape != (rows,) or (x.size and not np.issubdtype(x.dtype, np.integer)):
+            raise ValueError(f"reveal cells {x!r} are not {rows} integers")
+    positions, elements = positions.astype(np.intp, copy=False), elements.astype(np.intp, copy=False)
+    bad = (positions < 0) | (positions >= n) | (elements < 0) | (elements >= n)
+    if bad.any():
+        r = int(bad.argmax())
+        raise ValueError(f"reveal ({positions[r]}, {elements[r]}) of row {r} out of range for n={n}")
+    return positions, elements
+
+
 def reveal_operators(n: int, r: RevealSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (D_l, D_r, B) triple implementing the reveal as a bilinear step."""
+    """The (D_l, D_r, B) triple implementing the reveal as a bilinear step:
+    the T = 1 case of ``reveal_operators_stack``."""
     r.validated(n)
-    d_l = np.eye(n)
-    d_l[r.position, r.position] = 0.0
-    d_r = np.eye(n)
-    d_r[r.element, r.element] = 0.0
-    inject = np.zeros((n, n))
-    inject[r.position, r.element] = 1.0
+    return tuple(ops[0] for ops in reveal_operators_stack(n, [r.position], [r.element]))
+
+
+def reveal_operators_stack(n: int, positions, elements) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (D_l, D_r, B) triples of T reveals at once, as three
+    ``(T, n, n)`` stacks: row r reveals that position ``positions[r]``
+    holds element ``elements[r]``. Raises ValueError naming the first
+    cell outside range(n)."""
+    positions, elements = _reveal_cells(n, positions, elements)
+    rows = np.arange(len(positions))
+    d_l = np.tile(np.eye(n), (len(rows), 1, 1))
+    d_l[rows, positions, positions] = 0.0
+    d_r = np.tile(np.eye(n), (len(rows), 1, 1))
+    d_r[rows, elements, elements] = 0.0
+    inject = np.zeros((len(rows), n, n))
+    inject[rows, positions, elements] = 1.0
     return d_l, d_r, inject
 
 
@@ -112,6 +162,25 @@ def marginal_reveal(state: np.ndarray, r: RevealSpec) -> np.ndarray:
     return out
 
 
+def marginal_reveal_stack(states: np.ndarray, positions, elements) -> np.ndarray:
+    """``marginal_reveal`` of a ``(T, n, n)`` stack at once: row r pins
+    entry ``(positions[r], elements[r])`` to 1 and zeroes the rest of its
+    cross, and every entry outside the cross keeps its bits. Returns a
+    fresh stack; raises ValueError unless ``states`` is a stack of square
+    matrices with one cell in range(n) per row, naming the first that is
+    not."""
+    states = np.asarray(states, dtype=float)
+    if states.ndim != 3 or states.shape[1] != states.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got {states.shape}")
+    positions, elements = _reveal_cells(states.shape[1], positions, elements, len(states))
+    rows = np.arange(len(states))
+    out = states.copy()
+    out[rows, positions, :] = 0.0
+    out[rows, :, elements] = 0.0
+    out[rows, positions, elements] = 1.0
+    return out
+
+
 def marginal_step(state: np.ndarray, op: MixSpec | RevealSpec) -> np.ndarray:
     """One marginal-tracker update: a mix or a reveal."""
     if isinstance(op, MixSpec):
@@ -127,17 +196,35 @@ def vectorized_step(
     """Same bilinear step through vec(H') = (A_r^T kron A_l) vec(H) + vec(B).
 
     Uses column-major vectorization. Exists to check ``marginal_step``
-    against the Kronecker form; both sides must agree to 1e-12.
+    against the Kronecker form; both sides must agree to 1e-12. Takes one
+    matrix and its three factors, or a ``(T, ...)`` stack of each, where
+    row r steps ``state[r]`` through ``a_left[r]``, ``a_right[r]`` and
+    ``inject[r]``: the Kronecker products are built as one stack of
+    elementwise products and applied in one ``np.matmul``, so every row has
+    the bits of its own call, and a single matrix is the T = 1 case.
     """
     state = np.asarray(state, dtype=float)
-    n_rows, n_cols = state.shape
-    if a_left.shape[1] != n_rows or a_right.shape[0] != n_cols:
+    a_left, a_right, inject = (np.asarray(x, dtype=float) for x in (a_left, a_right, inject))
+    if state.ndim == 2:
+        return vectorized_step(state[None], a_left[None], a_right[None], inject[None])[0]
+    if state.ndim != 3 or any(x.ndim != 3 or len(x) != len(state) for x in (a_left, a_right, inject)):
         raise ValueError(
-            f"dimension mismatch: H {state.shape}, A_l {a_left.shape}, A_r {a_right.shape}"
+            f"expected matrices or stacks of one length: H {state.shape}, "
+            f"A_l {a_left.shape}, A_r {a_right.shape}, B {inject.shape}"
         )
-    vec = state.reshape(-1, order="F")
-    out = np.kron(a_right.T, a_left) @ vec + inject.reshape(-1, order="F")
-    return out.reshape((a_left.shape[0], a_right.shape[1]), order="F")
+    rows, n_rows, n_cols = state.shape
+    out_rows, out_cols = a_left.shape[1], a_right.shape[2]
+    if a_left.shape[2] != n_rows or a_right.shape[1] != n_cols or inject.shape[1:] != (out_rows, out_cols):
+        raise ValueError(
+            f"dimension mismatch: H {state.shape}, A_l {a_left.shape}, A_r {a_right.shape}, B {inject.shape}"
+        )
+    # kron[r, i * out_rows + k, j * n_rows + l] = a_right[r, j, i] * a_left[r, k, l]
+    kron = a_right.transpose(0, 2, 1)[:, :, None, :, None] * a_left[:, None, :, None, :]
+    kron = kron.reshape(rows, out_cols * out_rows, n_cols * n_rows)
+    # Row r of a transposed stack, flattened, is the column-major vec of state[r].
+    vec = np.ascontiguousarray(state.transpose(0, 2, 1)).reshape(rows, -1, 1)
+    out = np.matmul(kron, vec)[..., 0] + inject.transpose(0, 2, 1).reshape(rows, -1)
+    return out.reshape(rows, out_cols, out_rows).transpose(0, 2, 1)
 
 
 @dataclass(frozen=True)

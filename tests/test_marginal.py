@@ -3,11 +3,13 @@ from __future__ import annotations
 import math
 import pickle
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from revealtrack import marginal
+from revealtrack.automaton import gather_stack
 from revealtrack.checks import _random_mixture, check_kronecker, check_marginal_bridge, check_sinkhorn
 from revealtrack.marginal import (
     MixSpec,
@@ -16,9 +18,12 @@ from revealtrack.marginal import (
     joint_to_marginal,
     marginal_init,
     marginal_mix,
+    marginal_mix_stack,
     marginal_reveal,
+    marginal_reveal_stack,
     marginal_step,
     reveal_operators,
+    reveal_operators_stack,
     sinkhorn_project,
     sinkhorn_project_stack,
     vectorized_step,
@@ -247,15 +252,15 @@ def test_combined_shuffle_and_mask_step():
 
 
 def test_kronecker_check_catches_a_reveal_that_keeps_the_cross(monkeypatch):
-    # C08 runs the tracker's own step, so a reveal that pins its entry but
-    # leaves the rest of the cross in place fails it.
-    def pin_only(state, r):
-        out = np.array(state, dtype=float)
-        out[r.position, r.element] = 1.0
+    # C08 runs the tracker's own stacked step, so a reveal that pins its
+    # entry but leaves the rest of the cross in place fails it.
+    def pin_only(states, positions, elements):
+        out = np.array(states, dtype=float)
+        out[np.arange(len(out)), positions, elements] = 1.0
         return out
 
     assert check_kronecker(runs=50, seed=13).passed
-    monkeypatch.setattr(marginal, "marginal_reveal", pin_only)
+    monkeypatch.setattr(marginal, "marginal_reveal_stack", pin_only)
     assert not check_kronecker(runs=50, seed=13).passed
 
 
@@ -667,3 +672,133 @@ def test_sinkhorn_check_draws_and_measures_as_a_per_matrix_loop(runs):
             measured["identity_ok"],
         )
         assert got == per_matrix_sinkhorn_check(runs, seed)
+
+
+def kron_step(state, a_left, a_right, inject):
+    """``vectorized_step`` on one matrix as first written: ``np.kron`` and
+    a matrix-vector product."""
+    vec = state.reshape(-1, order="F")
+    out = np.kron(a_right.T, a_left) @ vec + inject.reshape(-1, order="F")
+    return out.reshape((a_left.shape[0], a_right.shape[1]), order="F")
+
+
+@pytest.mark.parametrize("rows", (1, 64))
+@pytest.mark.parametrize("n", range(2, 6))
+def test_stacked_marginal_steps_and_gathers_give_the_bits_of_per_row_steps(n, rows):
+    # 30 mix-then-reveal steps, each row with its own mixture of 1 to 4
+    # components; over the steps every row reveals every one of the n * n
+    # cells. Beliefs over the n! arrangements take the same mixtures'
+    # gathers, padded to the most components of the step.
+    rng = np.random.default_rng(300 + 10 * n + rows)
+    group = symmetric_group(n)
+    h = rng.random((rows, n, n))
+    b = rng.dirichlet(np.ones(len(group)), size=rows)
+    per_row_h, per_row_b = list(h), list(b)
+    for t in range(30):
+        mixtures = [_random_mixture(rng, group, min(4, len(group))) for _ in range(rows)]
+        if rows > 1:
+            assert len({len(mixture.weights) for mixture in mixtures}) > 1 or len(group) == 2
+        cells = (np.arange(rows) + t) % (n * n)
+        positions, elements = np.divmod(cells, n)
+        specs = [MixSpec(mixture) for mixture in mixtures]
+        reveals = [RevealSpec(int(p), int(e)) for p, e in zip(positions, elements)]
+        matrices = np.array([spec.matrix for spec in specs])
+
+        mixed = marginal_mix_stack(h, matrices)
+        revealed = marginal_reveal_stack(mixed, positions, elements)
+        d_l, d_r, inject = reveal_operators_stack(n, positions, elements)
+        a_left = np.matmul(d_l, matrices)
+        vectorized = vectorized_step(h, a_left, d_r, inject)
+        kernels = [mixture_symbol(n, mixture).transition for mixture in mixtures]
+        gathered = gather_stack(kernels, b)
+        for r in range(rows):
+            alone = marginal_mix(per_row_h[r], specs[r])
+            assert mixed[r].tobytes() == alone.tobytes(), (t, r)
+            assert revealed[r].tobytes() == marginal_reveal(alone, reveals[r]).tobytes(), (t, r)
+            ops = reveal_operators(n, reveals[r])
+            assert all(np.array_equal(x[r], y) for x, y in zip((d_l, d_r, inject), ops))
+            one = kron_step(per_row_h[r], ops[0] @ specs[r].matrix, ops[1], ops[2])
+            assert vectorized[r].tobytes() == one.tobytes(), (t, r)
+            assert vectorized_step(per_row_h[r], a_left[r], d_r[r], inject[r]).tobytes() == one.tobytes()
+            step = kernels[r] @ per_row_b[r]
+            assert gathered[r].tobytes() == step.tobytes(), (t, r)
+            assert gathered[r].tobytes() == mixture_symbol(n, mixtures[r]).apply(per_row_b[r]).tobytes()
+            per_row_h[r], per_row_b[r] = marginal_reveal(alone, reveals[r]), step
+        h, b = revealed, gathered
+
+
+def test_stacked_steps_reject_what_the_per_row_steps_reject():
+    h = np.tile(np.eye(3), (2, 1, 1))
+    with pytest.raises(ValueError, match=r"reveal \(3, 0\) of row 1 out of range for n=3"):
+        marginal_reveal_stack(h, [0, 3], [0, 0])
+    with pytest.raises(ValueError, match=r"reveal \(0, -1\) of row 0"):
+        reveal_operators_stack(3, [0], [-1])
+    with pytest.raises(ValueError):
+        marginal_reveal_stack(h, [0], [0])  # one cell for two rows
+    with pytest.raises(ValueError):
+        marginal_reveal_stack(h, [0.0, 1.0], [0, 0])  # not integers
+    with pytest.raises(ValueError):
+        marginal_mix_stack(h, np.tile(np.eye(4), (2, 1, 1)))
+    with pytest.raises(ValueError):
+        vectorized_step(h, h[:1], h, h)  # stacks of different lengths
+    with pytest.raises(ValueError):
+        vectorized_step(h, np.tile(np.eye(4), (2, 1, 1)), h, h)
+    kernels = [mixture_symbol(3, [(identity(3), 1.0)]).transition] * 2
+    with pytest.raises(ValueError):
+        gather_stack(kernels, np.ones((2, 5)))  # 3! = 6 states, not 5
+    with pytest.raises(ValueError):
+        gather_stack(kernels[:1], np.ones((2, 6)))
+
+
+def per_draw_kronecker_measurements(runs, seed):
+    """The Kronecker check as first written: each instance drawn, stepped
+    by ``marginal_step`` and compared with ``kron_step`` alone."""
+    rng = np.random.default_rng(seed)
+    gap = 0.0
+    for _ in range(runs):
+        n = int(rng.integers(2, 6))
+        group = symmetric_group(n)
+        h = rng.random((n, n))
+        mix = MixSpec(_random_mixture(rng, group, min(4, len(group))))
+        reveal = RevealSpec(*divmod(int(rng.integers(n * n)), n))
+        tracked = marginal_step(marginal_step(h, mix), reveal)
+        d_l, d_r, inject = reveal_operators(n, reveal)
+        gap = np.maximum(gap, np.abs(tracked - kron_step(h, d_l @ mix.matrix, d_r, inject)).max())
+    return {"gap": gap}
+
+
+# verify's C06 and C08 sizes and seeds at its defaults, at --runs 600
+# --max-n 8 (C06 caps n at 4) and at --seed 7; the 600 C08 instances fill
+# more than one block.
+@pytest.mark.parametrize(
+    "bridge, kronecker",
+    [((50, 4, 20, 20260811), (200, 20260813)), ((150, 4, 20, 20260811), (600, 20260813)), ((50, 4, 20, 8), (200, 10))],
+    ids=["defaults", "runs-600-max-n-8", "seed-7"],
+)
+def test_stacked_checks_keep_the_bits_of_per_draw_loops_at_verify_sizes(bridge, kronecker):
+    assert check_marginal_bridge(runs=bridge[0], max_n=bridge[1], steps=bridge[2], seed=bridge[3]).measured == (
+        per_step_bridge_measurements(*bridge)
+    )
+    assert check_kronecker(runs=kronecker[0], seed=kronecker[1]).measured == per_draw_kronecker_measurements(*kronecker)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda runs: check_marginal_bridge(runs=runs, max_n=4, steps=2, seed=3),
+        lambda runs: check_kronecker(runs=runs, seed=3),
+    ],
+    ids=["C06", "C08"],
+)
+def test_stacked_check_memory_does_not_grow_with_the_runs(check):
+    # Each check holds one block of at most 256 drawn runs at a time.
+    def peak(runs):
+        tracemalloc.start()
+        try:
+            check(runs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    check(1)  # module-level caches fill here
+    assert peak(1024) < 1.5 * peak(256)
