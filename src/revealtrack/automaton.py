@@ -60,7 +60,7 @@ import bisect
 import math
 import os
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -205,7 +205,7 @@ class PermutationMixture:
         return f"PermutationMixture(k={len(self.weights)}, m={self.shape[0]})"
 
 
-def gather_stack(kernels, v: np.ndarray) -> np.ndarray:
+def gather_stack(kernels: Sequence[PermutationMixture], v: np.ndarray) -> np.ndarray:
     """``kernels[r] @ v[r]`` for T ``PermutationMixture`` kernels over one
     state count and a ``(T, m)`` stack ``v``, as one gather of every
     component at once. A kernel with fewer components than the most is

@@ -107,15 +107,14 @@ def marginal_mix_stack(states: np.ndarray, matrices: np.ndarray) -> np.ndarray:
     return np.matmul(matrices, states)
 
 
-def _reveal_cells(n: int, positions, elements, count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _reveal_cells(n: int, positions, elements) -> tuple[np.ndarray, np.ndarray]:
     """Revealed cells as two intp arrays; raises ValueError unless both
-    are integer vectors of one length (``count``, when given), naming the
-    first cell outside range(n)."""
+    are integer vectors of one length, naming the first cell outside
+    range(n)."""
     positions, elements = np.asarray(positions), np.asarray(elements)
-    rows = positions.size if count is None else count
     for x in (positions, elements):
-        if x.shape != (rows,) or (x.size and not np.issubdtype(x.dtype, np.integer)):
-            raise ValueError(f"reveal cells {x!r} are not {rows} integers")
+        if x.shape != (positions.size,) or (x.size and not np.issubdtype(x.dtype, np.integer)):
+            raise ValueError(f"reveal cells {x!r} are not {positions.size} integers")
     positions, elements = positions.astype(np.intp, copy=False), elements.astype(np.intp, copy=False)
     bad = (positions < 0) | (positions >= n) | (elements < 0) | (elements >= n)
     if bad.any():
@@ -172,7 +171,9 @@ def marginal_reveal_stack(states: np.ndarray, positions, elements) -> np.ndarray
     states = np.asarray(states, dtype=float)
     if states.ndim != 3 or states.shape[1] != states.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got {states.shape}")
-    positions, elements = _reveal_cells(states.shape[1], positions, elements, len(states))
+    positions, elements = _reveal_cells(states.shape[1], positions, elements)
+    if len(positions) != len(states):
+        raise ValueError(f"{len(positions)} reveal cells for {len(states)} states")
     rows = np.arange(len(states))
     out = states.copy()
     out[rows, positions, :] = 0.0
