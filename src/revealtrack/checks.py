@@ -17,7 +17,11 @@ The checks that draw many runs, C05, C06 and C08, draw each run as it
 would be drawn alone, in blocks of bounded memory, then step the runs of
 one state count in a block as one stack through the library's stacked
 steps, each row with the bits of its per-row step; a maximum is exact,
-so the folded errors have the bits of a per-run loop.
+so the folded errors have the bits of a per-run loop. The first run of
+each stack also steps alone, through the per-row steps that the decay
+scenarios run, and the check fails on any such step whose bytes differ
+from its stacked row (``per_row_mismatches``): so ``verify`` itself ties
+the two forms of each step together.
 """
 
 from __future__ import annotations
@@ -164,18 +168,25 @@ def _block(run_bytes: int) -> int:
     return max(1, min(_BLOCK, _BLOCK_BYTES // run_bytes))
 
 
+def _per_row_note(mismatches: int) -> str:
+    """Nothing when every per-row step has the bits of its stacked row, so
+    a passing detail line reads as before; else how many steps differ."""
+    return f"; {mismatches} per-row steps differ from their stacked rows" if mismatches else ""
+
+
 def check_oracle_equivalence(*, runs: int, max_m: int, steps: int, seed: int) -> CheckResult:
     """Random automata: at every step the joint tracker decodes to the
     exact filter's belief, and its carried mass telescopes to the product
     of the reveal survivals. Each run is drawn as it would be alone; the
-    runs of one state count in a block then step as one stack (see
-    ``_oracle_group``)."""
+    runs of one state count in a block then step as one stack, and the
+    first of them also alone (see ``_oracle_group``)."""
     rng = np.random.default_rng(seed)
     # Symbols take 8 bytes a step, dense kernels about 3 * 8 * m**2 a run.
     block = _block(8 * (steps + 3 * max_m**2))
     decode_error = 0.0
     telescope_error = 0.0
     log_mass_error = 0.0
+    mismatches = 0
     for first in range(0, runs, block):
         drawn = []
         for _ in range(min(block, runs - first)):
@@ -183,8 +194,9 @@ def check_oracle_equivalence(*, runs: int, max_m: int, steps: int, seed: int) ->
             a = random_automaton(m, int(rng.integers(2, 4)), rng)
             drawn.append((a, np.array(sample_trajectory(a, steps, rng).symbols, dtype=np.intp)))
         for m in sorted({a.m for a, _ in drawn}):
-            group_error, ends = _oracle_group([run for run in drawn if run[0].m == m])
+            group_error, group_mismatches, ends = _oracle_group([run for run in drawn if run[0].m == m])
             decode_error = np.maximum(decode_error, group_error)
+            mismatches += group_mismatches
             for mass, exponent, log_product in ends:
                 # Compared in the state's own power-of-two scale: past
                 # float64's range both the mass and the product underflow to 0.
@@ -194,20 +206,28 @@ def check_oracle_equivalence(*, runs: int, max_m: int, steps: int, seed: int) ->
     return CheckResult(
         "joint-oracle-equivalence",
         f"{runs} runs of {steps} steps: decode err {decode_error:.2e}, "
-        f"telescoping err {telescope_error:.2e}, log-mass err {log_mass_error:.2e}",
+        f"telescoping err {telescope_error:.2e}, log-mass err {log_mass_error:.2e}" + _per_row_note(mismatches),
         {
             "decode_error": decode_error,
             "telescope_error": telescope_error,
             "log_mass_error": log_mass_error,
+            "per_row_mismatches": mismatches,
         },
-        (("decode_error", "<=", 1e-9), ("telescope_error", "<=", 1e-9), ("log_mass_error", "<=", 1e-9)),
+        (
+            ("decode_error", "<=", 1e-9),
+            ("telescope_error", "<=", 1e-9),
+            ("log_mass_error", "<=", 1e-9),
+            ("per_row_mismatches", "==", 0),
+        ),
     )
 
 
-def _oracle_group(runs: list[tuple[Pfsa, np.ndarray]]) -> tuple[float, list[tuple[float, int, float]]]:
+def _oracle_group(runs: list[tuple[Pfsa, np.ndarray]]) -> tuple[float, int, list[tuple[float, int, float]]]:
     """C05 on runs of one state count, stepped as one stack: the largest
-    gap between the joint decode and the exact filter, and per run its
-    final mass and exponent and the sum of its log survivals.
+    gap between the joint decode and the exact filter, the count of
+    per-row steps of the first run whose bytes differ from its stacked
+    row, and per run its final mass and exponent and the sum of its log
+    survivals.
 
     Step t picks each run's folded kernel (``Symbol.folded_kernel``) for
     its t-th symbol, and ``joint_step_stack`` and ``belief_update_stack``
@@ -215,6 +235,8 @@ def _oracle_group(runs: list[tuple[Pfsa, np.ndarray]]) -> tuple[float, list[tupl
     The decodes ``h / mass`` are the exactly rounded divisions of
     ``joint_decode``, a survival is the row sum of a mask times a belief,
     and each run adds its log survivals with ``math.log`` in step order.
+    The first run also steps alone, through ``joint_step`` and
+    ``belief_update``.
     """
     rows = np.arange(len(runs))
     m = runs[0][0].m
@@ -235,6 +257,10 @@ def _oracle_group(runs: list[tuple[Pfsa, np.ndarray]]) -> tuple[float, list[tupl
     exact = belief = h
     log_products = [0.0] * len(runs)
     decode_error = 0.0
+    first = runs[0][0]
+    alone = jt.joint_init(h[0])
+    alone_exact = h[0]
+    mismatches = 0
     for picked in symbols.T:
         step = kernels[rows, picked]
         survivals = np.add.reduce(masks[rows, picked] * belief, axis=1)
@@ -243,7 +269,11 @@ def _oracle_group(runs: list[tuple[Pfsa, np.ndarray]]) -> tuple[float, list[tupl
         exact = belief_update_stack(step, exact)
         belief = h / mass[:, None]
         decode_error = np.maximum(decode_error, np.abs(belief - exact).max(initial=0.0))
-    return decode_error, list(zip(mass.tolist(), exponent.tolist(), log_products))
+        alone = jt.joint_step(alone, first, picked[0])
+        alone_exact = belief_update(first, alone_exact, picked[0])
+        mismatches += (alone.h.tobytes(), alone.mass, alone.exponent) != (h[0].tobytes(), mass[0], exponent[0])
+        mismatches += alone_exact.tobytes() != exact[0].tobytes()
+    return decode_error, mismatches, list(zip(mass.tolist(), exponent.tolist(), log_products))
 
 
 def _random_mixture(rng: np.random.Generator, group, max_k: int) -> Mixture:
@@ -258,12 +288,14 @@ def check_marginal_bridge(*, runs: int, max_n: int, steps: int, seed: int) -> Ch
     zeroes only entries the conditioned joint's marginal has (near) zero,
     exhaustive over the nine reveal targets for n = 3 on the identity state
     and 50 mixed ones. Each mixing run is drawn as it would be alone; the
-    runs of one n in a block then step as one stack (see ``_bridge_group``)."""
+    runs of one n in a block then step as one stack, and the first of them
+    also alone (see ``_bridge_group``)."""
     rng = np.random.default_rng(seed)
     # Per step, a run holds its P_s and marginal, about 2 * 8 * n**2 bytes,
     # and its belief and that belief's collapse, about 8 * (n + 1) * n!.
     block = _block(8 * max(steps, 1) * (2 * max_n**2 + (max_n + 1) * math.factorial(max_n)))
     mixing_error = 0.0
+    mismatches = 0
     for first in range(0, runs, block):
         drawn = []
         for _ in range(min(block, runs - first)):
@@ -271,8 +303,9 @@ def check_marginal_bridge(*, runs: int, max_n: int, steps: int, seed: int) -> Ch
             group = symmetric_group(n)
             drawn.append((n, [_random_mixture(rng, group, min(4, len(group))) for _ in range(steps)]))
         for n in sorted({n for n, _ in drawn}):
-            gap = _bridge_group(n, [mixtures for size, mixtures in drawn if size == n])
+            gap, group_mismatches = _bridge_group(n, [mixtures for size, mixtures in drawn if size == n])
             mixing_error = np.maximum(mixing_error, gap)
+            mismatches += group_mismatches
 
     # The identity state and 50 states mixed 1 to 6 times, drawn one after
     # another, then mixed as one stack: the states still mixing at step t
@@ -311,40 +344,44 @@ def check_marginal_bridge(*, runs: int, max_n: int, steps: int, seed: int) -> Ch
     return CheckResult(
         "marginal-joint-bridge",
         f"mixing error {mixing_error:.2e} over {runs} runs; "
-        f"largest posterior mass on a zeroed entry {leak:.2e} ({reveals} reveals)",
-        {"mixing_error": mixing_error, "support_leak": leak, "reveals": reveals},
-        (("mixing_error", "<=", 1e-9), ("support_leak", "<=", 1e-12)),
+        f"largest posterior mass on a zeroed entry {leak:.2e} ({reveals} reveals)" + _per_row_note(mismatches),
+        {"mixing_error": mixing_error, "support_leak": leak, "reveals": reveals, "per_row_mismatches": mismatches},
+        (("mixing_error", "<=", 1e-9), ("support_leak", "<=", 1e-12), ("per_row_mismatches", "==", 0)),
     )
 
 
-def _bridge_group(n: int, runs: list[list[Mixture]]) -> float:
+def _bridge_group(n: int, runs: list[list[Mixture]]) -> tuple[float, int]:
     """C06's mixing half on runs of one n, stepped as one stack: the
     largest gap, over every step of every run, between the marginal
-    tracker's state and the marginal of the joint belief.
+    tracker's state and the marginal of the joint belief, and the count of
+    per-row steps of the first run whose bytes differ from its stacked row.
 
     Step t mixes each run's marginal by the P_s its ``MixSpec`` builds, in
     ``marginal_mix_stack``, and pushes its joint belief through the gathers
     of its ``mixture_symbol`` in ``gather_stack``, so each row has the bits
     of ``marginal_mix`` and ``Symbol.apply``; ``joint_to_marginal``
     collapses every belief with the bits of its own call, and a maximum is
-    exact.
+    exact. The first run also steps alone, through ``marginal_mix`` and
+    ``Symbol.apply``.
     """
     count, steps = len(runs), len(runs[0])
-    matrices = np.array([[mg.MixSpec(mixture).matrix for mixture in mixtures] for mixtures in runs])
-    kernels = [
-        [jt.mixture_symbol(n, mixture, action="position").transition for mixture in mixtures]
-        for mixtures in runs
-    ]
+    specs = [[mg.MixSpec(mixture) for mixture in mixtures] for mixtures in runs]
+    matrices = np.array([[spec.matrix for spec in row] for row in specs])
+    symbols = [[jt.mixture_symbol(n, mixture, action="position") for mixture in mixtures] for mixtures in runs]
     b = np.zeros((count, math.factorial(n)))
     b[:, 0] = 1.0
     h = np.tile(mg.marginal_init(n), (count, 1, 1))
     beliefs = np.empty((count, steps) + b.shape[1:])
     marginals = np.empty((count, steps, n, n))
+    alone_b, alone_h = b[0], h[0]
+    mismatches = 0
     for t in range(steps):
-        b = gather_stack([step[t] for step in kernels], b)
+        b = gather_stack([row[t].transition for row in symbols], b)
         h = mg.marginal_mix_stack(h, matrices[:, t])
         beliefs[:, t], marginals[:, t] = b, h
-    return np.abs(marginals - mg.joint_to_marginal(beliefs, n)).max(initial=0.0)
+        alone_b, alone_h = symbols[0][t].apply(alone_b), mg.marginal_mix(alone_h, specs[0][t])
+        mismatches += (alone_b.tobytes() != b[0].tobytes()) + (alone_h.tobytes() != h[0].tobytes())
+    return np.abs(marginals - mg.joint_to_marginal(beliefs, n)).max(initial=0.0), mismatches
 
 
 def check_sinkhorn(*, runs: int, seed: int) -> CheckResult:
@@ -374,9 +411,11 @@ def check_kronecker(*, runs: int, seed: int) -> CheckResult:
     folding P_s into the left factor makes one Kronecker product per
     instance. Each instance is drawn as it would be alone; those of one n in
     a block then step as one stack, each row with the bits of its own
-    ``marginal_step`` calls and ``vectorized_step``."""
+    ``marginal_step`` calls and ``vectorized_step``, and the first of them
+    also steps alone through ``marginal_step``."""
     rng = np.random.default_rng(seed)
     gap = 0.0
+    mismatches = 0
     # An instance holds at most a 25 x 25 Kronecker product, 5 kB, and its
     # 5 x 5 factors, so a block of _BLOCK stays far below _BLOCK_BYTES.
     for first in range(0, runs, _BLOCK):
@@ -386,19 +425,27 @@ def check_kronecker(*, runs: int, seed: int) -> CheckResult:
             group = symmetric_group(n)
             h = rng.random((n, n))
             mix = mg.MixSpec(_random_mixture(rng, group, min(4, len(group))))
-            drawn.append((h, mix.matrix, divmod(int(rng.integers(n * n)), n)))  # a uniform cell
+            drawn.append((h, mix, divmod(int(rng.integers(n * n)), n)))  # a uniform cell
         for n in sorted({len(h) for h, _, _ in drawn}):
-            h, p_s, cells = map(np.array, zip(*(run for run in drawn if len(run[0]) == n)))
-            positions, elements = cells.T
-            tracked = mg.marginal_reveal_stack(mg.marginal_mix_stack(h, p_s), positions, elements)
+            group = [run for run in drawn if len(run[0]) == n]
+            h = np.array([run[0] for run in group])
+            p_s = np.array([run[1].matrix for run in group])
+            positions, elements = np.array([run[2] for run in group]).T
+            mixed = mg.marginal_mix_stack(h, p_s)
+            tracked = mg.marginal_reveal_stack(mixed, positions, elements)
             d_l, d_r, inject = mg.reveal_operators_stack(n, positions, elements)
             vectorized = mg.vectorized_step(h, np.matmul(d_l, p_s), d_r, inject)
             gap = np.maximum(gap, np.abs(tracked - vectorized).max())
+            h0, mix, cell = group[0]
+            alone = mg.marginal_step(h0, mix)
+            mismatches += alone.tobytes() != mixed[0].tobytes()
+            mismatches += mg.marginal_step(alone, mg.RevealSpec(*cell)).tobytes() != tracked[0].tobytes()
     return CheckResult(
         "kronecker-vectorization",
-        f"{runs} marginal mix-then-reveal steps against their Kronecker form: max gap {gap:.2e}",
-        {"gap": gap},
-        (("gap", "<=", 1e-12),),
+        f"{runs} marginal mix-then-reveal steps against their Kronecker form: max gap {gap:.2e}"
+        + _per_row_note(mismatches),
+        {"gap": gap, "per_row_mismatches": mismatches},
+        (("gap", "<=", 1e-12), ("per_row_mismatches", "==", 0)),
     )
 
 

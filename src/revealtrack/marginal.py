@@ -20,15 +20,16 @@ Both updates are instances of the bilinear step A_l @ H @ A_r + B, which
 vectorizes to (A_r^T kron A_l) vec(H) + vec(B) under column-major vec;
 ``vectorized_step`` exists to check ``marginal_step`` against that form
 (check C08), not for speed. It steps a ``(T, n, n)`` stack, each row
-through its own factors, and a single matrix is its T = 1 case.
+through its own factors.
 
 ``marginal_mix_stack`` and ``marginal_reveal_stack`` are the stacked forms
 of the two updates: T states, each with its own P_s or revealed cell, in
 one ``np.matmul`` or one masked copy. A batched product of ``(T, n, n)``
 stacks multiplies each pair as the single product does, so every row has
-the bits of ``marginal_mix`` or ``marginal_reveal``; ``tests/test_marginal.py``
-pins this against the per-row path. The per-row functions stay as they
-are: they are the per-step paths of the decay scenarios.
+the bits of ``marginal_mix`` or ``marginal_reveal``; checks C06 and C08
+step one row of each stack through the per-row path as well and fail on
+any bit that differs. The per-row functions stay as they are: they are
+the per-step paths of the decay scenarios.
 """
 
 from __future__ import annotations
@@ -74,6 +75,12 @@ class RevealSpec:
     label: ClassVar[str] = "reveal"
     position: int
     element: int
+
+    def __post_init__(self) -> None:
+        # A bool or a float would index the state as a mask or not at all.
+        for cell in (self.position, self.element):
+            if isinstance(cell, bool) or not isinstance(cell, (int, np.integer)):
+                raise ValueError(f"reveal ({self.position!r}, {self.element!r}) is not two integers")
 
     def validated(self, n: int) -> "RevealSpec":
         if not (0 <= self.position < n and 0 <= self.element < n):
@@ -121,13 +128,6 @@ def _reveal_cells(n: int, positions, elements) -> tuple[np.ndarray, np.ndarray]:
         r = int(bad.argmax())
         raise ValueError(f"reveal ({positions[r]}, {elements[r]}) of row {r} out of range for n={n}")
     return positions, elements
-
-
-def reveal_operators(n: int, r: RevealSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (D_l, D_r, B) triple implementing the reveal as a bilinear step:
-    the T = 1 case of ``reveal_operators_stack``."""
-    r.validated(n)
-    return tuple(ops[0] for ops in reveal_operators_stack(n, [r.position], [r.element]))
 
 
 def reveal_operators_stack(n: int, positions, elements) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -194,38 +194,28 @@ def marginal_step(state: np.ndarray, op: MixSpec | RevealSpec) -> np.ndarray:
 def vectorized_step(
     state: np.ndarray, a_left: np.ndarray, a_right: np.ndarray, inject: np.ndarray
 ) -> np.ndarray:
-    """Same bilinear step through vec(H') = (A_r^T kron A_l) vec(H) + vec(B).
+    """The bilinear step of a ``(T, n, n)`` stack through
+    vec(H') = (A_r^T kron A_l) vec(H) + vec(B), row r stepping ``state[r]``
+    through ``a_left[r]``, ``a_right[r]`` and ``inject[r]``.
 
     Uses column-major vectorization. Exists to check ``marginal_step``
-    against the Kronecker form; both sides must agree to 1e-12. Takes one
-    matrix and its three factors, or a ``(T, ...)`` stack of each, where
-    row r steps ``state[r]`` through ``a_left[r]``, ``a_right[r]`` and
-    ``inject[r]``: the Kronecker products are built as one stack of
-    elementwise products and applied in one ``np.matmul``, so every row has
-    the bits of its own call, and a single matrix is the T = 1 case.
+    against the Kronecker form; both sides must agree to 1e-12. The
+    Kronecker products are built as one stack of elementwise products and
+    applied in one ``np.matmul``. Raises ValueError unless all four are
+    ``(T, n, n)`` stacks of one shape.
     """
-    state = np.asarray(state, dtype=float)
-    a_left, a_right, inject = (np.asarray(x, dtype=float) for x in (a_left, a_right, inject))
-    if state.ndim == 2:
-        return vectorized_step(state[None], a_left[None], a_right[None], inject[None])[0]
-    if state.ndim != 3 or any(x.ndim != 3 or len(x) != len(state) for x in (a_left, a_right, inject)):
-        raise ValueError(
-            f"expected matrices or stacks of one length: H {state.shape}, "
-            f"A_l {a_left.shape}, A_r {a_right.shape}, B {inject.shape}"
-        )
-    rows, n_rows, n_cols = state.shape
-    out_rows, out_cols = a_left.shape[1], a_right.shape[2]
-    if a_left.shape[2] != n_rows or a_right.shape[1] != n_cols or inject.shape[1:] != (out_rows, out_cols):
-        raise ValueError(
-            f"dimension mismatch: H {state.shape}, A_l {a_left.shape}, A_r {a_right.shape}, B {inject.shape}"
-        )
-    # kron[r, i * out_rows + k, j * n_rows + l] = a_right[r, j, i] * a_left[r, k, l]
+    state, a_left, a_right, inject = (np.asarray(x, dtype=float) for x in (state, a_left, a_right, inject))
+    shapes = [x.shape for x in (state, a_left, a_right, inject)]
+    if state.ndim != 3 or state.shape[1] != state.shape[2] or len(set(shapes)) != 1:
+        raise ValueError(f"expected (T, n, n) stacks of one shape for H, A_l, A_r and B, got {shapes}")
+    rows, n, _ = state.shape
+    # kron[r, i * n + k, j * n + l] = a_right[r, j, i] * a_left[r, k, l]
     kron = a_right.transpose(0, 2, 1)[:, :, None, :, None] * a_left[:, None, :, None, :]
-    kron = kron.reshape(rows, out_cols * out_rows, n_cols * n_rows)
+    kron = kron.reshape(rows, n * n, n * n)
     # Row r of a transposed stack, flattened, is the column-major vec of state[r].
     vec = np.ascontiguousarray(state.transpose(0, 2, 1)).reshape(rows, -1, 1)
     out = np.matmul(kron, vec)[..., 0] + inject.transpose(0, 2, 1).reshape(rows, -1)
-    return out.reshape(rows, out_cols, out_rows).transpose(0, 2, 1)
+    return out.reshape(rows, n, n).transpose(0, 2, 1)
 
 
 @dataclass(frozen=True)

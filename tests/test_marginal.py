@@ -22,7 +22,6 @@ from revealtrack.marginal import (
     marginal_reveal,
     marginal_reveal_stack,
     marginal_step,
-    reveal_operators,
     reveal_operators_stack,
     sinkhorn_project,
     sinkhorn_project_stack,
@@ -228,15 +227,16 @@ def test_reveal_fixes_consistent_permutation_matrix():
 
 
 def test_vectorized_identity_and_reveal():
-    h = np.arange(9.0).reshape(3, 3)
-    assert np.array_equal(vectorized_step(h, np.eye(3), np.eye(3), np.zeros((3, 3))), h)
-    d_l, d_r, inject = reveal_operators(3, RevealSpec(1, 1))
+    h = np.arange(9.0).reshape(1, 3, 3)
+    eye = np.eye(3)[None]
+    assert np.array_equal(vectorized_step(h, eye, eye, np.zeros((1, 3, 3))), h)
+    d_l, d_r, inject = reveal_operators_stack(3, [1], [1])
     h1 = np.array([[1, 0, 0], [0, 0.5, 0.5], [0, 0.5, 0.5]])
-    via_kron = vectorized_step(h1, d_l, d_r, inject)
+    via_kron = vectorized_step(h1[None], d_l, d_r, inject)[0]
     assert np.allclose(via_kron, [[1, 0, 0], [0, 1, 0], [0, 0, 0.5]], atol=1e-12)
     assert np.allclose(via_kron, marginal_reveal(h1, RevealSpec(1, 1)), atol=1e-12)
     with pytest.raises(ValueError):
-        vectorized_step(h, np.eye(4), np.eye(3), np.zeros((3, 3)))
+        vectorized_step(h, np.eye(4)[None], eye, np.zeros((1, 3, 3)))
 
 
 def test_combined_shuffle_and_mask_step():
@@ -244,8 +244,8 @@ def test_combined_shuffle_and_mask_step():
     # reveal masks; both evaluation routes must still agree.
     rng = np.random.default_rng(33)
     p_s = to_matrix(sample_uniform(4, rng))
-    d_l, d_r, inject = reveal_operators(4, RevealSpec(2, 1))
-    h = rng.random((4, 4))
+    d_l, d_r, inject = reveal_operators_stack(4, [2], [1])
+    h = rng.random((1, 4, 4))
     direct = p_s @ d_l @ h @ d_r + inject
     vectorized = vectorized_step(h, p_s @ d_l, d_r, inject)
     assert np.abs(direct - vectorized).max() <= 1e-12
@@ -438,7 +438,7 @@ def per_step_bridge_measurements(runs, max_n, steps, seed):
             posterior = bincount_marginal(mask * b / mass, 3)
             leak = np.maximum(leak, posterior[marginal_reveal(h, reveal) == 0.0].max())
             reveals += 1
-    return {"mixing_error": mixing_error, "support_leak": leak, "reveals": reveals}
+    return {"mixing_error": mixing_error, "support_leak": leak, "reveals": reveals, "per_row_mismatches": 0}
 
 
 @pytest.mark.parametrize("max_n", (2, 4, 5))
@@ -715,11 +715,17 @@ def test_stacked_marginal_steps_and_gathers_give_the_bits_of_per_row_steps(n, ro
             alone = marginal_mix(per_row_h[r], specs[r])
             assert mixed[r].tobytes() == alone.tobytes(), (t, r)
             assert revealed[r].tobytes() == marginal_reveal(alone, reveals[r]).tobytes(), (t, r)
-            ops = reveal_operators(n, reveals[r])
+            # D_l and D_r are the identity with the revealed diagonal entry
+            # zeroed, and B is one-hot at the revealed cell.
+            ops = np.tile(np.eye(n), (3, 1, 1))
+            ops[0, positions[r], positions[r]] = ops[1, elements[r], elements[r]] = 0.0
+            ops[2] = 0.0
+            ops[2, positions[r], elements[r]] = 1.0
             assert all(np.array_equal(x[r], y) for x, y in zip((d_l, d_r, inject), ops))
             one = kron_step(per_row_h[r], ops[0] @ specs[r].matrix, ops[1], ops[2])
             assert vectorized[r].tobytes() == one.tobytes(), (t, r)
-            assert vectorized_step(per_row_h[r], a_left[r], d_r[r], inject[r]).tobytes() == one.tobytes()
+            alone_stack = vectorized_step(per_row_h[r][None], a_left[r][None], d_r[r][None], inject[r][None])
+            assert alone_stack.tobytes() == one.tobytes()
             step = kernels[r] @ per_row_b[r]
             assert gathered[r].tobytes() == step.tobytes(), (t, r)
             assert gathered[r].tobytes() == mixture_symbol(n, mixtures[r]).apply(per_row_b[r]).tobytes()
@@ -743,6 +749,16 @@ def test_stacked_steps_reject_what_the_per_row_steps_reject():
         vectorized_step(h, h[:1], h, h)  # stacks of different lengths
     with pytest.raises(ValueError):
         vectorized_step(h, np.tile(np.eye(4), (2, 1, 1)), h, h)
+    with pytest.raises(ValueError):
+        vectorized_step(h[0], h[0], h[0], h[0])  # a matrix is not a stack
+    # marginal_reveal_stack takes integer cells only, and so does RevealSpec:
+    # a bool would index as a mask, a float not at all.
+    for position, element in ((True, 0), (0, False), (1.0, 0)):
+        with pytest.raises(ValueError):
+            marginal_reveal_stack(h[:1], [position], [element])
+        with pytest.raises(ValueError, match="is not two integers"):
+            RevealSpec(position, element)
+    assert RevealSpec(np.int64(1), np.intp(2)).validated(3) == RevealSpec(1, 2)
     kernels = [mixture_symbol(3, [(identity(3), 1.0)]).transition] * 2
     with pytest.raises(ValueError):
         gather_stack(kernels, np.ones((2, 5)))  # 3! = 6 states, not 5
@@ -762,9 +778,9 @@ def per_draw_kronecker_measurements(runs, seed):
         mix = MixSpec(_random_mixture(rng, group, min(4, len(group))))
         reveal = RevealSpec(*divmod(int(rng.integers(n * n)), n))
         tracked = marginal_step(marginal_step(h, mix), reveal)
-        d_l, d_r, inject = reveal_operators(n, reveal)
+        d_l, d_r, inject = (x[0] for x in reveal_operators_stack(n, [reveal.position], [reveal.element]))
         gap = np.maximum(gap, np.abs(tracked - kron_step(h, d_l @ mix.matrix, d_r, inject)).max())
-    return {"gap": gap}
+    return {"gap": gap, "per_row_mismatches": 0}
 
 
 # verify's C06 and C08 sizes and seeds at its defaults, at --runs 600
