@@ -219,7 +219,13 @@ def _identity_kernel(m: int) -> PermutationMixture:
 
 
 def placement_reveal_symbol(n: int, position: int, element: int, name: str = "observe") -> Symbol:
-    """Reveal-only symbol for the observation "position holds element"."""
+    """Reveal-only symbol for the observation "position holds element".
+    Raises ValueError unless both are ints or numpy integers (a bool is
+    not) in range(n)."""
+    # A bool or a float would index the table as a mask or not at all.
+    for cell in (position, element):
+        if isinstance(cell, bool) or not isinstance(cell, (int, np.integer)):
+            raise ValueError(f"placement ({position!r}, {element!r}) is not two integers")
     if not (0 <= position < n and 0 <= element < n):
         raise ValueError(f"placement ({position}, {element}) out of range for n={n}")
     table = one_line_table(n)

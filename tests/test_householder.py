@@ -162,12 +162,62 @@ def reference_recurrence(steps, h0):
 
 def test_swap_head_recurrence_matches_reference_bit_for_bit():
     rng = np.random.default_rng(29)
-    for n in (2, 8, 64):
+    for n in (2, 8, 16, 17, 24, 64, 128):
         first = rng.integers(n, size=2048)
         second = (first + rng.integers(1, n, size=2048)) % n
         steps = [swap_head(n, i, j) for i, j in zip(first.tolist(), second.tolist())]
         for h0 in (rng.standard_normal(n), rng.standard_normal((n, n)), rng.standard_normal((n, 3))):
             assert np.array_equal(run_recurrence(steps, h0), reference_recurrence(steps, h0))
+
+
+def test_each_step_picks_its_update_form_by_its_key_support():
+    rng = np.random.default_rng(37)
+    assert swap_head(8, 2, 5)._rows is None  # dense: C09's size
+    key = rng.standard_normal(64)
+    assert HouseholderStep(2.0, key / np.linalg.norm(key))._rows is None
+    root = 1.0 / np.sqrt(2.0)
+    assert swap_head(64, 2, 5)._rows == ((2, 2.0 * root), (5, -2.0 * root))
+    assert swap_head(64, 5, 2)._rows == ((2, -2.0 * root), (5, 2.0 * root))
+
+
+def test_mixed_update_forms_match_reference_bit_for_bit():
+    # One sequence at n = 64 whose steps take both forms: swaps and two-entry
+    # keys by rows, full-support keys dense.
+    rng = np.random.default_rng(41)
+    n = 64
+    for beta in (1.0, 2.0):
+        steps = []
+        for t in range(768):
+            if t % 3 == 0:
+                i, j = rng.choice(n, size=2, replace=False).tolist()
+                steps.append(HouseholderStep(beta, swap_head(n, i, j).key))
+            elif t % 3 == 1:
+                key = np.zeros(n)
+                key[rng.choice(n, size=2, replace=False)] = rng.standard_normal(2)
+                steps.append(HouseholderStep(beta, key / np.linalg.norm(key)))
+            else:
+                key = rng.standard_normal(n)
+                steps.append(HouseholderStep(beta, key / np.linalg.norm(key)))
+        assert {step._rows is None for step in steps} == {True, False}
+        for h0 in (rng.standard_normal(n), rng.standard_normal((n, n)), rng.standard_normal((n, 3))):
+            assert np.array_equal(run_recurrence(steps, h0), reference_recurrence(steps, h0))
+
+
+def test_row_form_leaves_rows_outside_the_key_alone():
+    # At n = 3 a swap of 0 and 1 steps dense and turns the -0.0 of row 2
+    # into +0.0: k^T h is negative, 0 times it is -0.0, and -0.0 - -0.0 is
+    # +0.0. By rows, at n = 24, that row keeps its sign, and the rows the
+    # swap touches get the dense form's bits.
+    h0 = np.array([-0.0, 3.0, -0.0])
+    assert swap_head(3, 0, 1)._rows is None
+    dense = run_recurrence([swap_head(3, 0, 1)], h0)
+    assert dense[2] == 0.0 and not np.signbit(dense[2])
+    wide = np.zeros(24)
+    wide[:3] = h0
+    assert swap_head(24, 0, 1)._rows is not None
+    by_rows = run_recurrence([swap_head(24, 0, 1)], wide)
+    assert by_rows[:2].tobytes() == dense[:2].tobytes()
+    assert by_rows[2] == 0.0 and np.signbit(by_rows[2])
 
 
 def test_random_gate_recurrence_stays_within_last_bits_of_reference():
@@ -196,6 +246,19 @@ def test_recurrence_rejects_a_complex_state():
         run_recurrence([swap_head(2, 0, 1)], np.array([1 + 2j, 3]))
 
 
+def test_recurrence_rejects_a_non_finite_state():
+    # Dense, a swap of 0 and 1 turned [inf, 0, 1] into [nan, inf, nan]: row
+    # 2, which it does not touch, took 0 * inf.
+    for bad in (np.inf, np.nan):
+        for n in (3, 64):
+            h0 = np.arange(float(n))
+            h0[0] = bad
+            with pytest.raises(ValueError, match="not finite"):
+                run_recurrence([swap_head(n, 0, 1)], h0)
+    with pytest.raises(ValueError, match="not finite"):
+        run_recurrence([], np.array([[1.0, -np.inf], [0.0, 1.0]]))
+
+
 def test_step_rejects_a_gate_or_key_that_is_not_real():
     for beta in (True, np.bool_(False), 1 + 0j, "2"):
         with pytest.raises(ValueError, match="is not a real number"):
@@ -215,6 +278,13 @@ def test_steps_compare_and_hash_by_gate_and_key():
     assert HouseholderStep(1.0, [1.0, 0.0]) != a
     assert HouseholderStep(2.0, [0.0, 1.0]) != a
     assert a != (2.0, [1.0, 0.0])
+    # The update form is derived from the key, and neither compares nor hashes.
+    wide = swap_head(24, 0, 1)
+    dense = HouseholderStep(2.0, wide.key)
+    object.__setattr__(dense, "_rows", None)
+    assert wide._rows is not None
+    assert dense == wide and hash(dense) == hash(wide)
+    assert "_rows" not in repr(wide)
 
 
 def test_scaled_key_is_the_gated_key_and_read_only():

@@ -374,6 +374,16 @@ def test_placement_reveal_symbol():
         placement_reveal_symbol(3, position=3, element=0)
 
 
+def test_placement_reveal_symbol_rejects_cells_that_are_not_integers():
+    # A bool or float cell once built the reveal of position 1, raised a
+    # message about state 17, or ended in a bare IndexError.
+    for position, element in ((True, 0), (1.0, 0), (0, True), (0, 1.0)):
+        with pytest.raises(ValueError, match="is not two integers"):
+            placement_reveal_symbol(3, position, element)
+    sym = placement_reveal_symbol(3, np.int64(0), np.int32(2))
+    assert sym == placement_reveal_symbol(3, 0, 2)
+
+
 def test_arrangement_automaton_start_state():
     sym = placement_reveal_symbol(3, 0, 0)
     a = arrangement_automaton(3, [sym])
